@@ -4,15 +4,15 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-cross verify bench bench-all bench-mesh bench-cutoff bench-report serve bench-serve bench-replicas
+.PHONY: all build test race vet lint verify bench bench-all bench-mesh bench-report serve bench-serve bench-replicas
 
 all: verify
 
 # The PR's committed benchmark evidence: run the solver/report benchmarks
 # and write machine-readable numbers (ns/op, allocs/op, solver iterations,
 # GOMAXPROCS) with the seed baseline embedded for before/after diffing.
-# BENCH_CPU repeats the selection at each GOMAXPROCS so the serial and
-# parallel numbers land as separate rows of one document. The HTTP load
+# BENCH_CPU repeats the selection at each GOMAXPROCS so each lands as a
+# separate row of one document. The HTTP load
 # run appends the serving-layer numbers (throughput, latency percentiles,
 # cache hit ratio) to the same output.
 BENCH_OUT ?= BENCH_8.json
@@ -65,16 +65,6 @@ vet:
 lint:
 	$(GO) run ./cmd/nanolint ./...
 
-# Cross-configuration lint: the loader resolves files through `go list`,
-# which honors GOOS/GOFLAGS, so files hidden from the default
-# configuration by build tags (the mg_rbgs red-black smoother) or by a
-# GOOS constraint still pass through every analyzer. The nanolint binary
-# itself runs on the host; only the package loading is cross-configured.
-lint-cross:
-	$(GO) build -o $(CURDIR)/bin/nanolint ./cmd/nanolint
-	GOOS=darwin $(CURDIR)/bin/nanolint ./...
-	GOFLAGS=-tags=mg_rbgs $(CURDIR)/bin/nanolint ./...
-
 race:
 	$(GO) test -race ./...
 
@@ -87,16 +77,9 @@ bench-all:
 
 # The hot IR-drop kernel: seed-style allocating CG vs workspace CG vs
 # Jacobi PCG vs the multigrid-preconditioned production path
-# (powergrid.Mesh.Solve) at n = 63 and 255, the smoother ablation
-# (Jacobi / red-black GS / Chebyshev ± FMG), and the 9-variant batched
-# sweep vs independent solves.
+# (powergrid.Mesh.Solve) at n = 63 and 255.
 bench-mesh:
-	$(GO) test -bench='BenchmarkMeshSolve|BenchmarkSmoothers|BenchmarkSweepBatch' -run='^$$' -benchmem .
-
-# The parallel-cutoff micro-benchmark behind mathx.parCutoff: serial axpy
-# vs parForBlocks across the cutoff, at GOMAXPROCS 1 and 4.
-bench-cutoff:
-	$(GO) test -bench='BenchmarkParCutoff' -run='^$$' -cpu 1,4 ./internal/mathx
+	$(GO) test -bench='BenchmarkMeshSolve' -run='^$$' -benchmem .
 
 # Full-report wall clock at -jobs=1 vs -jobs=NumCPU.
 bench-report:

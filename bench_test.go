@@ -286,7 +286,13 @@ func BenchmarkAblationGridSolvers(b *testing.B) {
 		if _, err := powergrid.ValidateAnalytic(spec, 128); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := powergrid.PessimisticRatio(spec, 31); err != nil {
+		// Mesh.Solve, not PessimisticRatio: the ratio memo would turn
+		// every iteration after the first into a lookup.
+		m, err := powergrid.PessimisticMesh(spec, 31)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Solve(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -519,135 +525,19 @@ func BenchmarkMeshSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSmoothers is the DESIGN.md §5 smoother ablation on the MG-PCG
-// production path: damped Jacobi (the round-1 smoother), red-black
-// Gauss-Seidel (the `mg_rbgs` build-tag alternative), and the default
-// degree-2 Chebyshev — plus Chebyshev with the full-multigrid start
-// disabled, isolating what FMG alone contributes. Iterations per solve are
-// reported alongside ns/op; the smoothing factor each variant achieves is
-// tabulated in DESIGN.md §5 from these numbers.
-func BenchmarkSmoothers(b *testing.B) {
-	for _, n := range []int{63, 255} {
-		frozen, rhs := meshLaplacian(n)
-		frozen.Freeze()
-		run := func(name string, mg *mathx.MeshMG) {
-			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
-				b.ReportAllocs()
-				var ws mathx.Workspace
-				iters := 0
-				for i := 0; i < b.N; i++ {
-					_, it, err := frozen.SolveMGW(&ws, mg, rhs, 1e-10, 20*frozen.N)
-					if err != nil {
-						b.Fatal(err)
-					}
-					iters = it
-				}
-				b.ReportMetric(float64(iters), "iters")
-			})
-		}
-		pin := (n/2)*n + n/2
-		for _, sm := range []mathx.Smoother{mathx.SmootherJacobi, mathx.SmootherRBGS, mathx.SmootherChebyshev} {
-			mg, err := mathx.NewMeshMGSmoother(n, pin, sm)
-			if err != nil {
-				b.Fatal(err)
-			}
-			run(sm.String(), mg)
-		}
-		noFMG, err := mathx.NewMeshMGSmoother(n, pin, mathx.SmootherChebyshev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		noFMG.SetFMG(false)
-		run("chebyshev-nofmg", noFMG)
-	}
-}
-
-// BenchmarkSweepBatch pins the batched sweep-solve claims at the two
-// production grid sizes, for a 9-variant same-grid scenario sweep:
-//
-//   - varied-solo / varied-batch: 9 distinct same-pattern systems
-//     (conductance and draw perturbed per variant) as 9 independent
-//     Mesh.Solve calls vs one SolveMeshBatch lockstep call. The batch
-//     shares the CSR pattern traversal and fuses its Krylov reductions,
-//     with bit-identical drops; the V-cycle (the dominant cost) is
-//     per-variant either way, so these two track closely — the batch must
-//     simply never lose.
-//   - sweep-independent / sweep-primed: the shape a real sweep has when
-//     the swept parameter leaves the 35 nm grid untouched (the common
-//     case — e.g. the default vdd sweeps at other nodes): every variant
-//     assembles the SAME system. Pre-batch, the per-variant computes ran
-//     9 full identical solves (sweep-independent); the priming path
-//     (repro.PrimeVariants → powergrid.PrimeSolves) now solves once and
-//     parks a counted drop for all 9 consumers (sweep-primed). This row
-//     is the sweep fast path's headline: ~9× fewer real solves.
-func BenchmarkSweepBatch(b *testing.B) {
-	const variants = 9
-	for _, n := range []int{127, 255} {
-		build := func(varied bool) []*powergrid.Mesh {
-			meshes := make([]*powergrid.Mesh, variants)
-			for i := range meshes {
-				f := 1.0
-				if varied {
-					f = 0.9 + 0.2*float64(i)/float64(variants-1)
-				}
-				meshes[i] = &powergrid.Mesh{
-					N:            n,
-					PitchM:       80e-6,
-					EdgeOhms:     0.04 * f,
-					NodeCurrentA: 1.2e-4 / f,
-				}
-			}
-			return meshes
-		}
-		b.Run(fmt.Sprintf("n=%d/varied-solo", n), func(b *testing.B) {
-			meshes := build(true)
-			for i := 0; i < b.N; i++ {
-				for _, m := range meshes {
-					if _, err := m.Solve(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/varied-batch", n), func(b *testing.B) {
-			meshes := build(true)
-			for i := 0; i < b.N; i++ {
-				if _, err := powergrid.SolveMeshBatch(meshes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/sweep-independent", n), func(b *testing.B) {
-			meshes := build(false)
-			for i := 0; i < b.N; i++ {
-				for _, m := range meshes {
-					if _, err := m.Solve(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/sweep-primed", n), func(b *testing.B) {
-			meshes := build(false)
-			for i := 0; i < b.N; i++ {
-				powergrid.PrimeSolves(meshes)
-				for _, m := range meshes {
-					if _, err := m.Solve(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMeshSolveGrid runs the full powergrid path (assembly + pooled
-// workspace + PCG) exactly as Figure 5 does.
+// BenchmarkMeshSolveGrid runs the full powergrid path (rail sizing, mesh
+// build, cached assembly + pooled workspace + MG-PCG) exactly as Figure 5
+// does, through Mesh.Solve rather than PessimisticRatio so every iteration
+// times a real solve, not a memo hit.
 func BenchmarkMeshSolveGrid(b *testing.B) {
 	node := itrs.MustNode(35)
 	spec := powergrid.DefaultSpec(node, node.BumpPitchMinM)
 	for i := 0; i < b.N; i++ {
-		if _, err := powergrid.PessimisticRatio(spec, 63); err != nil {
+		m, err := powergrid.PessimisticMesh(spec, 63)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Solve(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -80,26 +80,6 @@ func RunBumpsN(meshN int) (*BumpsResult, error) {
 	return RunBumpsNIn(device.BaseLab(), meshN)
 }
 
-// BumpMesh builds (without solving) the pessimistic validation mesh the
-// C8 analysis solves at meshN (n ≤ 0 selects DefaultMeshN) — the dominant
-// compute of a scenario sweep. Sweep priming collects these meshes across
-// variants and batch-solves them (powergrid.PrimeSolves) before the
-// per-variant runs; results are unchanged because primed drops are
-// bit-identical to solo solves. Unlike RunBumpsNIn this returns rather
-// than panics on a lab without the 35 nm node, since priming must shrug
-// off exotic scenario variants instead of taking down the sweep.
-func BumpMesh(lab *device.Lab, meshN int) (*powergrid.Mesh, error) {
-	if meshN <= 0 {
-		meshN = DefaultMeshN
-	}
-	node, err := lab.Node(35)
-	if err != nil {
-		return nil, err
-	}
-	minSpec := powergrid.DefaultSpec(node, node.BumpPitchMinM)
-	return powergrid.PessimisticMesh(minSpec, meshN)
-}
-
 // RunBumpsNIn is RunBumpsN against an explicit laboratory.
 func RunBumpsNIn(lab *device.Lab, meshN int) (*BumpsResult, error) {
 	if meshN <= 0 {

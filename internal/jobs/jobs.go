@@ -101,7 +101,8 @@ type Snapshot struct {
 	// Cached marks a job answered from the result store without running.
 	Cached bool   `json:"cached,omitempty"`
 	Error  string `json:"error,omitempty"`
-	// Progress is the latest snapshot (nil before the first chunk).
+	// Progress is the latest snapshot: 0/Total from the moment the job
+	// starts running until its first chunk lands, nil while queued.
 	Progress   *trace.Progress `json:"progress,omitempty"`
 	CreatedAt  time.Time       `json:"created_at"`
 	StartedAt  *time.Time      `json:"started_at,omitempty"`
@@ -126,6 +127,8 @@ func (j *Job) Snapshot() Snapshot {
 	if n := len(j.chunks); n > 0 {
 		p := j.chunks[n-1]
 		s.Progress = &p
+	} else if !j.started.IsZero() {
+		s.Progress = &trace.Progress{Total: j.Trace.Intervals()}
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -138,7 +141,8 @@ func (j *Job) Snapshot() Snapshot {
 	return s
 }
 
-// Done returns a channel closed when the job reaches a terminal state.
+// Done returns a channel closed when the job reaches a terminal state and
+// the queue has released its slot, admission units and counters.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Result returns the completed result. ok is false until the job is done;
@@ -372,22 +376,26 @@ func (q *Queue) run(ctx context.Context, j *Job) {
 		q.finish(j, nil, err)
 		return
 	}
+	release := func() {}
 	if q.cfg.Admit != nil {
-		release, err := q.cfg.Admit(ctx, j.Trace)
+		r, err := q.cfg.Admit(ctx, j.Trace)
 		if err != nil {
 			q.finish(j, nil, fmt.Errorf("admission: %w", err))
 			return
 		}
-		// Released on every exit path below — including cancellation —
-		// so a DELETE returns the job's gate units as soon as the
-		// simulator observes ctx, never when some stream reader is done.
-		defer release()
+		release = r
 	}
+	// The gate units go back on every exit path below — including
+	// cancellation, as soon as the simulator observes ctx — and before
+	// finish publishes the terminal state, so whoever sees the job done or
+	// canceled also sees its units free.
 	if !j.setRunning() {
+		release()
 		q.finish(j, nil, ctx.Err())
 		return
 	}
 	res, err := j.Trace.Run(ctx, j.appendChunk)
+	release()
 	if err == nil && q.cfg.Store != nil {
 		q.cfg.Store.Put(j.Trace.ArtifactID(), j.Trace.Key(), res)
 	}
@@ -416,7 +424,6 @@ func (q *Queue) finish(j *Job, res *result.Result, err error) {
 	close(j.notify)
 	j.notify = make(chan struct{})
 	j.mu.Unlock()
-	close(j.done)
 	q.mu.Lock()
 	q.active--
 	q.evictLocked()
@@ -424,6 +431,9 @@ func (q *Queue) finish(j *Job, res *result.Result, err error) {
 	if q.OnFinish != nil {
 		q.OnFinish(state, false)
 	}
+	// Done closes last, so a waiter on it sees the queue slot freed, the
+	// retention bound applied and the finish counted.
+	close(j.done)
 }
 
 // evictLocked forgets the oldest terminal jobs past MaxFinished. Requires

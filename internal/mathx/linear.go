@@ -119,8 +119,7 @@ func NewFrozenCSR(n int, rowPtr, cols []int32, vals, diag []float64) (*SparseMat
 
 // Freeze seals assembly and flattens the per-row slices into one contiguous
 // CSR backing array. MulVec afterwards streams rowPtr/fcols/fvals linearly
-// (and in parallel row blocks on large systems) instead of chasing n row
-// headers; results are bit-identical because each row keeps its insertion
+// instead of chasing n row headers; results are bit-identical because each row keeps its insertion
 // order. Freeze is idempotent; Add after Freeze panics.
 func (s *SparseMatrix) Freeze() {
 	if s.frozen {
@@ -177,15 +176,16 @@ func (s *SparseMatrix) row(r int) ([]int32, []float64) {
 }
 
 // MulVec computes y = A·x. On a frozen matrix the rows stream from the flat
-// CSR arrays and split across row blocks when the system is large and
-// GOMAXPROCS > 1 (each y[r] is computed independently, so the parallel
-// split is bit-deterministic).
+// CSR arrays.
 func (s *SparseMatrix) MulVec(x, y []float64) {
 	if s.frozen {
-		if parallelOK(s.N) {
-			parFor(s.N, func(lo, hi int) { s.mulVecRows(x, y, lo, hi) })
-		} else {
-			s.mulVecRows(x, y, 0, s.N)
+		rp, cols, vals, diag := s.rowPtr, s.fcols, s.fvals, s.diag
+		for r := 0; r < s.N; r++ {
+			sum := diag[r] * x[r]
+			for i := rp[r]; i < rp[r+1]; i++ {
+				sum += vals[i] * x[cols[i]]
+			}
+			y[r] = sum
 		}
 		return
 	}
@@ -193,18 +193,6 @@ func (s *SparseMatrix) MulVec(x, y []float64) {
 		sum := s.diag[r] * x[r]
 		cols, vals := s.cols[r], s.vals[r]
 		for i := range cols {
-			sum += vals[i] * x[cols[i]]
-		}
-		y[r] = sum
-	}
-}
-
-// mulVecRows is the frozen CSR kernel for rows [lo, hi).
-func (s *SparseMatrix) mulVecRows(x, y []float64, lo, hi int) {
-	rp, cols, vals, diag := s.rowPtr, s.fcols, s.fvals, s.diag
-	for r := lo; r < hi; r++ {
-		sum := diag[r] * x[r]
-		for i := rp[r]; i < rp[r+1]; i++ {
 			sum += vals[i] * x[cols[i]]
 		}
 		y[r] = sum
@@ -403,22 +391,9 @@ func (s *SparseMatrix) solvePCG(ws *Workspace, b []float64, tol float64, maxIter
 			return nil, iter, fmt.Errorf("mathx: CG: curvature pᵀAp = %g at iteration %d: %w", pAp, iter, ErrNotSPD)
 		}
 		alpha := rz / pAp
-		// Gated like MulVec: build the parallel closure only on systems
-		// large enough to amortize it (parallelOK), so small/serial solves
-		// stay allocation-free. Element-wise updates are bit-deterministic
-		// under any block split.
-		if parallelOK(n) {
-			parFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					x[i] += alpha * p[i]
-					r[i] -= alpha * ap[i]
-				}
-			})
-		} else {
-			for i := range x {
-				x[i] += alpha * p[i]
-				r[i] -= alpha * ap[i]
-			}
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
 		}
 		rr = dot(r, r)
 		rNorm = math.Sqrt(rr)
@@ -439,16 +414,8 @@ func (s *SparseMatrix) solvePCG(ws *Workspace, b []float64, tol float64, maxIter
 		if precond {
 			dir = z
 		}
-		if parallelOK(n) {
-			parFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					p[i] = dir[i] + beta*p[i]
-				}
-			})
-		} else {
-			for i := range p {
-				p[i] = dir[i] + beta*p[i]
-			}
+		for i := range p {
+			p[i] = dir[i] + beta*p[i]
 		}
 		rz = rzNew
 	}

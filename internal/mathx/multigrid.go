@@ -13,53 +13,20 @@ type Preconditioner interface {
 	Apply(r, z []float64)
 }
 
-// fmgStarter is the optional hook SolveMGW (and SolveMGBatchW) probe for: a
-// preconditioner that can seed the Krylov iteration with a full-multigrid
-// initial guess instead of x = 0. FMGStart writes the guess into x (same
+// fmgStarter is the optional hook SolveMGW probes for: a preconditioner
+// that can seed the Krylov iteration with a full-multigrid initial guess
+// instead of x = 0. FMGStart writes the guess into x (same
 // eliminated layout as Apply) and reports whether it did; false means the
 // solver starts from zero as before. MeshMG implements it.
 type fmgStarter interface {
 	FMGStart(b, x []float64) bool
 }
 
-// Smoother selects the V-cycle smoothing kernel of a MeshMG. All variants
-// preserve the pinned node (its inverse-diagonal entry is zero, so no sweep
-// ever moves it), are applied in A-adjoint pre/post pairs so the V-cycle
-// stays a symmetric (CG-safe) operator, and are bit-identical serial or
-// parallel: row/element blocks are fixed by n and GOMAXPROCS alone and no
-// kernel reduces across blocks.
-type Smoother int
-
-const (
-	// SmootherChebyshev smooths with a degree-chebDegree Chebyshev
-	// polynomial in the Jacobi-preconditioned operator D⁻¹L — SpMV + axpy
-	// only, no data dependence inside a sweep, and the best measured
-	// damping per FLOP of the three (DESIGN.md §5 ablation). The default.
-	SmootherChebyshev Smoother = iota
-	// SmootherRBGS is red-black Gauss-Seidel: red-then-black before
-	// coarsening and black-then-red after, an A-adjoint pair. Stronger per
-	// sweep than Jacobi at the same traffic; selectable at build time via
-	// the mg_rbgs tag (see DefaultSmoother).
-	SmootherRBGS
-	// SmootherJacobi is the damped-Jacobi sweep (ω = 0.8, one pre and one
-	// post sweep) the first multigrid round shipped, kept selectable so the
-	// ablation benchmarks compare against it.
-	SmootherJacobi
-)
-
-func (s Smoother) String() string {
-	switch s {
-	case SmootherChebyshev:
-		return "chebyshev"
-	case SmootherRBGS:
-		return "rbgs"
-	case SmootherJacobi:
-		return "jacobi"
-	}
-	return fmt.Sprintf("Smoother(%d)", int(s))
-}
-
-// Chebyshev smoother parameters. Gershgorin puts the spectrum of the
+// Chebyshev smoother parameters. The V-cycle smooths with a
+// degree-chebDegree Chebyshev polynomial in the Jacobi-preconditioned
+// operator D⁻¹L — stencil applications and axpy sweeps only, and the fewest
+// iterations of the smoothers this package has measured (DESIGN.md §5).
+// Gershgorin puts the spectrum of the
 // Jacobi-preconditioned mesh Laplacian D⁻¹L inside (0, 2] on every level
 // (each row's off-diagonal magnitudes sum to its diagonal), so chebLMax = 2
 // is a safe upper bound without estimating eigenvalues. The smoother
@@ -91,8 +58,8 @@ const (
 //
 // Internals work on full n_l×n_l grids per level with unit conductance —
 // the operator scales linearly in g, so Apply rescales its output by 1/g
-// (SetConductance) instead of rebuilding levels. Smoothing defaults to a
-// Chebyshev polynomial (see Smoother for the alternatives), transfers are
+// (SetConductance) instead of rebuilding levels. Smoothing is a Chebyshev
+// polynomial (see the cheb* constants), transfers are
 // bilinear interpolation and its exact transpose, and the coarsest pinned
 // system is solved by a Cholesky factorization computed once at
 // construction. MeshMG also implements the full-multigrid start SolveMGW
@@ -103,10 +70,7 @@ type MeshMG struct {
 	n      int
 	levels []*mgLevel
 	invG   float64
-	sm     Smoother
 	fmg    bool
-	omega  float64
-	nu     int // Jacobi pre- and post-smoothing sweeps per level
 
 	// Coarsest-level direct solve: Cholesky factor of the pinned
 	// unit-conductance system, plus gather/scatter scratch.
@@ -125,13 +89,12 @@ type MeshMG struct {
 // iteration counts grew 22→61 from n=31 to n=255 with even-only
 // coarsening; they stay ≤ ~15 with parity-matched coarsening).
 type mgLevel struct {
-	n        int
-	pin      int
-	off      int
-	x, b, r  []float64
-	d        []float64 // Chebyshev direction scratch (nil for other smoothers)
-	wInvDiag []float64 // ω / degree, 0 at the pin (Jacobi)
-	invDiag  []float64 // 1 / degree, 0 at the pin (Chebyshev, RBGS)
+	n       int
+	pin     int
+	off     int
+	x, b, r []float64
+	d       []float64 // Chebyshev direction scratch
+	invDiag []float64 // 1 / degree, 0 at the pin
 }
 
 // mgCoarsest is the grid size at which the hierarchy bottoms out into the
@@ -139,39 +102,24 @@ type mgLevel struct {
 const mgCoarsest = 8
 
 // NewMeshMG builds the hierarchy for an n×n mesh with the node at flat
-// index pin (row·n + col) held at 0 V, smoothing with DefaultSmoother.
-// Unit edge conductance; call SetConductance to match the assembled system
-// before Apply.
+// index pin (row·n + col) held at 0 V. Unit edge conductance; call
+// SetConductance to match the assembled system before Apply.
 func NewMeshMG(n, pin int) (*MeshMG, error) {
-	return NewMeshMGSmoother(n, pin, DefaultSmoother)
-}
-
-// NewMeshMGSmoother is NewMeshMG with an explicit smoother selection; the
-// ablation benchmarks use it to compare kernels on one hierarchy shape.
-func NewMeshMGSmoother(n, pin int, sm Smoother) (*MeshMG, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("mathx: mesh multigrid needs n ≥ 3, got %d", n)
 	}
 	if pin < 0 || pin >= n*n {
 		return nil, fmt.Errorf("mathx: pinned node %d outside %d×%d grid", pin, n, n)
 	}
-	switch sm {
-	case SmootherChebyshev, SmootherRBGS, SmootherJacobi:
-	default:
-		return nil, fmt.Errorf("mathx: unknown multigrid smoother %d", int(sm))
-	}
 	pr, pc := pin/n, pin%n
-	mg := &MeshMG{n: n, invG: 1, sm: sm, fmg: true, omega: 0.8, nu: 1}
+	mg := &MeshMG{n: n, invG: 1, fmg: true}
 	for ln := n; ; {
 		lev := &mgLevel{n: ln, pin: pr*ln + pc}
 		lev.x = make([]float64, ln*ln)
 		lev.b = make([]float64, ln*ln)
 		lev.r = make([]float64, ln*ln)
-		lev.wInvDiag = make([]float64, ln*ln)
+		lev.d = make([]float64, ln*ln)
 		lev.invDiag = make([]float64, ln*ln)
-		if sm == SmootherChebyshev {
-			lev.d = make([]float64, ln*ln)
-		}
 		for r := 0; r < ln; r++ {
 			for c := 0; c < ln; c++ {
 				deg := 0.0
@@ -187,11 +135,9 @@ func NewMeshMGSmoother(n, pin int, sm Smoother) (*MeshMG, error) {
 				if c < ln-1 {
 					deg++
 				}
-				lev.wInvDiag[r*ln+c] = mg.omega / deg
 				lev.invDiag[r*ln+c] = 1 / deg
 			}
 		}
-		lev.wInvDiag[lev.pin] = 0
 		lev.invDiag[lev.pin] = 0
 		mg.levels = append(mg.levels, lev)
 		if ln <= mgCoarsest {
@@ -237,7 +183,7 @@ func (mg *MeshMG) SetConductance(g float64) error {
 
 // SetFMG toggles the full-multigrid start SolveMGW seeds its iteration with
 // when this preconditioner is attached (on by default). Off exists for the
-// ablation benchmarks that isolate the smoother's contribution; production
+// tests and benchmarks that isolate the start's contribution; production
 // solves keep it on.
 func (mg *MeshMG) SetFMG(on bool) { mg.fmg = on }
 
@@ -323,7 +269,10 @@ func (mg *MeshMG) vcycle(k int, zeroStart bool) {
 		mg.coarseSolve(lev)
 		return
 	}
-	mg.presmooth(lev, zeroStart)
+	// Chebyshev polynomials in D⁻¹L are A-self-adjoint, so the same
+	// smoother before and after the coarse correction keeps the V-cycle a
+	// symmetric operator — the property SolveMGW's CG wrapper requires.
+	lev.chebSmooth(zeroStart)
 	// Residual of the smoothed iterate, restricted to the coarse RHS.
 	lev.applyRes(lev.x, lev.b, lev.r)
 	lev.r[lev.pin] = 0
@@ -333,82 +282,7 @@ func (mg *MeshMG) vcycle(k int, zeroStart bool) {
 	mg.vcycle(k+1, true)
 	prolongAdd(next, lev)
 	lev.x[lev.pin] = 0
-	mg.postsmooth(lev)
-}
-
-// presmooth applies the selected smoother before coarsening. The pre/post
-// pair is arranged A-adjoint (Chebyshev and Jacobi polynomials are
-// A-self-adjoint; RBGS reverses its color order), keeping the V-cycle a
-// symmetric operator — the property SolveMGW's CG wrapper requires.
-func (mg *MeshMG) presmooth(lev *mgLevel, zeroStart bool) {
-	switch mg.sm {
-	case SmootherChebyshev:
-		mg.chebSmooth(lev, zeroStart)
-	case SmootherRBGS:
-		if zeroStart {
-			x := lev.x
-			for i := range x {
-				x[i] = 0
-			}
-		}
-		lev.rbSweep(0)
-		lev.rbSweep(1)
-	default: // SmootherJacobi
-		s := 0
-		if zeroStart {
-			// From x = 0 the first damped-Jacobi sweep collapses to a
-			// diagonal scaling of b.
-			x, b, wd := lev.x, lev.b, lev.wInvDiag
-			if parallelOK(len(x)) {
-				parFor(len(x), func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						x[i] = wd[i] * b[i]
-					}
-				})
-			} else {
-				for i := range x {
-					x[i] = wd[i] * b[i]
-				}
-			}
-			s = 1
-		}
-		for ; s < mg.nu; s++ {
-			lev.smooth()
-		}
-	}
-}
-
-// postsmooth applies the A-adjoint of presmooth after prolongation.
-func (mg *MeshMG) postsmooth(lev *mgLevel) {
-	switch mg.sm {
-	case SmootherChebyshev:
-		mg.chebSmooth(lev, false)
-	case SmootherRBGS:
-		// Black-then-red: the adjoint of the pre-smoother's red-then-black.
-		lev.rbSweep(1)
-		lev.rbSweep(0)
-	default:
-		for s := 0; s < mg.nu; s++ {
-			lev.smooth()
-		}
-	}
-}
-
-// smooth performs one damped-Jacobi sweep x += ω·D⁻¹·(b − A·x).
-func (l *mgLevel) smooth() {
-	l.applyRes(l.x, l.b, l.r)
-	x, r, wd := l.x, l.r, l.wInvDiag
-	if parallelOK(len(x)) {
-		parFor(len(x), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x[i] += wd[i] * r[i]
-			}
-		})
-	} else {
-		for i := range x {
-			x[i] += wd[i] * r[i]
-		}
-	}
+	lev.chebSmooth(false)
 }
 
 // chebSmooth applies the degree-chebDegree Chebyshev polynomial smoother:
@@ -416,112 +290,40 @@ func (l *mgLevel) smooth() {
 // of the Jacobi-preconditioned operator, built from applyRes/applySub
 // stencil applications and fused axpy sweeps only. The pin never moves
 // because invDiag is zero there, so every direction d has d[pin] = 0.
-func (mg *MeshMG) chebSmooth(l *mgLevel, zeroStart bool) {
+func (l *mgLevel) chebSmooth(zeroStart bool) {
+	const invTheta = 1 / chebTheta
 	x, b, r, d, di := l.x, l.b, l.r, l.d, l.invDiag
-	m := len(x)
 	if zeroStart {
 		// x = 0: the residual is b and the first correction needs no
-		// operator application.
-		if parallelOK(m) {
-			parFor(m, func(lo, hi int) { chebFirstZero(x, b, r, d, di, lo, hi) })
-		} else {
-			chebFirstZero(x, b, r, d, di, 0, m)
+		// operator application (r = b, d = (1/θ)·D⁻¹·r, x = d).
+		for i := range x {
+			ri := b[i]
+			r[i] = ri
+			v := invTheta * di[i] * ri
+			d[i] = v
+			x[i] = v
 		}
 	} else {
+		// r = b − A·x, d = (1/θ)·D⁻¹·r, x += d.
 		l.applyRes(x, b, r)
-		if parallelOK(m) {
-			parFor(m, func(lo, hi int) { chebFirst(x, r, d, di, lo, hi) })
-		} else {
-			chebFirst(x, r, d, di, 0, m)
+		for i := range x {
+			v := invTheta * di[i] * r[i]
+			d[i] = v
+			x[i] += v
 		}
 	}
 	rho := 1 / chebSigma
 	for k := 1; k < chebDegree; k++ {
+		// r −= A·d, then d = c1·d + c2·D⁻¹·r, x += d.
 		l.applySub(d, r)
 		rhoNext := 1 / (2*chebSigma - rho)
 		c1, c2 := rhoNext*rho, 2*rhoNext/chebDelta
-		if parallelOK(m) {
-			parFor(m, func(lo, hi int) { chebStep(x, r, d, di, c1, c2, lo, hi) })
-		} else {
-			chebStep(x, r, d, di, c1, c2, 0, m)
+		for i := range x {
+			v := c1*d[i] + c2*di[i]*r[i]
+			d[i] = v
+			x[i] += v
 		}
 		rho = rhoNext
-	}
-}
-
-// chebFirstZero fuses the zero-start Chebyshev setup for [lo, hi):
-// r = b, d = (1/θ)·D⁻¹·r, x = d.
-func chebFirstZero(x, b, r, d, di []float64, lo, hi int) {
-	const invTheta = 1 / chebTheta
-	for i := lo; i < hi; i++ {
-		ri := b[i]
-		r[i] = ri
-		v := invTheta * di[i] * ri
-		d[i] = v
-		x[i] = v
-	}
-}
-
-// chebFirst fuses the warm-start Chebyshev setup for [lo, hi), with r
-// already holding b − A·x: d = (1/θ)·D⁻¹·r, x += d.
-func chebFirst(x, r, d, di []float64, lo, hi int) {
-	const invTheta = 1 / chebTheta
-	for i := lo; i < hi; i++ {
-		v := invTheta * di[i] * r[i]
-		d[i] = v
-		x[i] += v
-	}
-}
-
-// chebStep fuses one recurrence step for [lo, hi), with r already updated
-// by applySub: d = c1·d + c2·D⁻¹·r, x += d.
-func chebStep(x, r, d, di []float64, c1, c2 float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := c1*d[i] + c2*di[i]*r[i]
-		d[i] = v
-		x[i] += v
-	}
-}
-
-// rbSweep performs one Gauss-Seidel half-sweep over the given color
-// (0 = red, (row+col) even; 1 = black). Nodes of one color couple only to
-// the other color, so the half-sweep solves its color's equations exactly
-// and rows can run in parallel: each block writes its own color rows and
-// reads only other-color values no block writes.
-func (l *mgLevel) rbSweep(color int) {
-	n := l.n
-	if parallelOK(n * n) {
-		parForBlocks(n, func(lo, hi int) { l.rbRows(color, lo, hi) })
-	} else {
-		l.rbRows(color, 0, n)
-	}
-}
-
-// rbRows is the Gauss-Seidel color kernel for grid rows [rLo, rHi):
-// x[i] = (b[i] + Σ x[neighbours]) / degree, skipping the pin via its zero
-// inverse diagonal.
-func (l *mgLevel) rbRows(color, rLo, rHi int) {
-	n := l.n
-	x, b, di := l.x, l.b, l.invDiag
-	for r := rLo; r < rHi; r++ {
-		i0 := r * n
-		for c := (color + r) & 1; c < n; c += 2 {
-			i := i0 + c
-			s := b[i]
-			if r > 0 {
-				s += x[i-n]
-			}
-			if r < n-1 {
-				s += x[i+n]
-			}
-			if c > 0 {
-				s += x[i-1]
-			}
-			if c < n-1 {
-				s += x[i+1]
-			}
-			x[i] = di[i] * s
-		}
 	}
 }
 
@@ -530,21 +332,11 @@ func (l *mgLevel) rbRows(color, rLo, rHi int) {
 // caller via the zeroed inverse diagonals and explicit zeroing). Fusing the
 // subtraction into the stencil saves one full vector sweep against a
 // separate y = L·x pass, and the interior columns run branch-free.
-func (l *mgLevel) applyRes(x, b, r []float64) {
-	n := l.n
-	if parallelOK(n * n) {
-		parForBlocks(n, func(lo, hi int) { l.applyResRows(x, b, r, lo, hi) })
-	} else {
-		l.applyResRows(x, b, r, 0, n)
-	}
-}
-
-// applyResRows is the fused residual stencil for grid rows [rLo, rHi).
 // Neighbour sums accumulate in up, down, left, right order (matching the
 // historical branchy kernel bit for bit).
-func (l *mgLevel) applyResRows(x, b, r []float64, rLo, rHi int) {
+func (l *mgLevel) applyRes(x, b, r []float64) {
 	n := l.n
-	for row := rLo; row < rHi; row++ {
+	for row := 0; row < n; row++ {
 		i0 := r0w(row, n)
 		switch {
 		case row == 0:
@@ -572,22 +364,12 @@ func (l *mgLevel) applyResRows(x, b, r []float64, rLo, rHi int) {
 	}
 }
 
-// applySub computes y −= L·x (same stencil and gating as applyRes); the
-// Chebyshev recurrence uses it to keep its residual current without a
-// separate scratch vector.
+// applySub computes y −= L·x (same stencil as applyRes); the Chebyshev
+// recurrence uses it to keep its residual current without a separate
+// scratch vector.
 func (l *mgLevel) applySub(x, y []float64) {
 	n := l.n
-	if parallelOK(n * n) {
-		parForBlocks(n, func(lo, hi int) { l.applySubRows(x, y, lo, hi) })
-	} else {
-		l.applySubRows(x, y, 0, n)
-	}
-}
-
-// applySubRows is the fused y −= L·x stencil for grid rows [rLo, rHi).
-func (l *mgLevel) applySubRows(x, y []float64, rLo, rHi int) {
-	n := l.n
-	for row := rLo; row < rHi; row++ {
+	for row := 0; row < n; row++ {
 		i0 := r0w(row, n)
 		switch {
 		case row == 0:
@@ -648,21 +430,11 @@ func gatherWeights(rc, off, n, nc int) (wLo, wHi float64) {
 // RHS with the exact transpose of the bilinear prolongation below: each
 // coarse node (at fine index 2R+off, 2C+off) gathers itself with weight 1,
 // edge neighbours with ½ (1 for boundary orphans), and corner neighbours
-// with the product of the axis weights. Coarse rows are independent, so the
-// sweep splits by rows when the fine grid is large.
+// with the product of the axis weights.
 func restrict(fine, coarse *mgLevel, src []float64) {
-	n, nc := fine.n, coarse.n
-	if parallelOK(n * n) {
-		parForBlocks(nc, func(lo, hi int) { restrictRows(fine, coarse, src, lo, hi) })
-	} else {
-		restrictRows(fine, coarse, src, 0, nc)
-	}
-}
-
-func restrictRows(fine, coarse *mgLevel, src []float64, rcLo, rcHi int) {
 	n, nc, off := fine.n, coarse.n, fine.off
 	r := src
-	for rc := rcLo; rc < rcHi; rc++ {
+	for rc := 0; rc < nc; rc++ {
 		fr := 2*rc + off
 		wU, wD := gatherWeights(rc, off, n, nc)
 		for cc := 0; cc < nc; cc++ {
@@ -730,21 +502,11 @@ func axisWeights(f, off, nc int) (c0 int, w0 float64, c1 int, w1 float64) {
 }
 
 // prolongAdd adds the bilinear interpolation of the coarse correction into
-// the fine solution. Fine rows are written independently, so the sweep
-// splits by rows when the fine grid is large.
+// the fine solution.
 func prolongAdd(coarse, fine *mgLevel) {
-	n := fine.n
-	if parallelOK(n * n) {
-		parForBlocks(n, func(lo, hi int) { prolongAddRows(coarse, fine, lo, hi) })
-	} else {
-		prolongAddRows(coarse, fine, 0, n)
-	}
-}
-
-func prolongAddRows(coarse, fine *mgLevel, frLo, frHi int) {
 	n, nc, off := fine.n, coarse.n, fine.off
 	xc := coarse.x
-	for fr := frLo; fr < frHi; fr++ {
+	for fr := 0; fr < n; fr++ {
 		r0, wr0, r1, wr1 := axisWeights(fr, off, nc)
 		base := fr * n
 		for fc := 0; fc < n; fc++ {
@@ -933,16 +695,8 @@ func (s *SparseMatrix) SolveMGW(ws *Workspace, pre Preconditioner, b []float64, 
 		// against ‖b‖, so the tolerance is unchanged — the start only moves
 		// the iteration closer to it.
 		s.MulVec(x, ap)
-		if parallelOK(n) {
-			parFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					r[i] = b[i] - ap[i]
-				}
-			})
-		} else {
-			for i := range r {
-				r[i] = b[i] - ap[i]
-			}
+		for i := range r {
+			r[i] = b[i] - ap[i]
 		}
 	}
 	pre.Apply(r, z)
@@ -959,18 +713,9 @@ func (s *SparseMatrix) SolveMGW(ws *Workspace, pre Preconditioner, b []float64, 
 			return nil, iter, fmt.Errorf("mathx: MG-PCG: curvature pᵀAp = %g at iteration %d: %w", pAp, iter, ErrNotSPD)
 		}
 		alpha := rz / pAp
-		if parallelOK(n) {
-			parFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					x[i] += alpha * p[i]
-					r[i] -= alpha * ap[i]
-				}
-			})
-		} else {
-			for i := range x {
-				x[i] += alpha * p[i]
-				r[i] -= alpha * ap[i]
-			}
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
 		}
 		rr := dot(r, r)
 		rNorm = math.Sqrt(rr)
@@ -983,16 +728,8 @@ func (s *SparseMatrix) SolveMGW(ws *Workspace, pre Preconditioner, b []float64, 
 			return nil, iter, fmt.Errorf("mathx: MG-PCG: preconditioner not positive definite (rᵀz = %g): %w", rzNew, ErrNotSPD)
 		}
 		beta := rzNew / rz
-		if parallelOK(n) {
-			parFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					p[i] = z[i] + beta*p[i]
-				}
-			})
-		} else {
-			for i := range p {
-				p[i] = z[i] + beta*p[i]
-			}
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
 		}
 		rz = rzNew
 	}

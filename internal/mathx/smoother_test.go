@@ -6,56 +6,36 @@ import (
 	"testing"
 )
 
-// buildMeshSmoother is buildMesh with an explicit smoother selection.
-func buildMeshSmoother(t testing.TB, n int, g float64, seed int64, sm Smoother) (*SparseMatrix, *MeshMG, []float64) {
-	t.Helper()
-	m, _, b := buildMesh(t, n, g, seed)
-	mg, err := NewMeshMGSmoother(n, (n/2)*n+n/2, sm)
-	if err != nil {
-		t.Fatalf("NewMeshMGSmoother(%d, %v): %v", n, sm, err)
-	}
-	if err := mg.SetConductance(g); err != nil {
-		t.Fatal(err)
-	}
-	return m, mg, b
-}
-
-var allSmoothers = []Smoother{SmootherChebyshev, SmootherRBGS, SmootherJacobi}
-
-// TestSmoothersAgreeWithCG checks every smoother variant drives MG-PCG to
+// TestSmoothersAgreeWithCG checks the Chebyshev smoother drives MG-PCG to
 // the CG answer, and that the stationary V-cycle iteration converges on its
 // own (a diverging smoother shows up here long before it corrupts MG-PCG,
 // which can limp through a weak preconditioner).
 func TestSmoothersAgreeWithCG(t *testing.T) {
 	for _, n := range []int{15, 31, 63} {
-		m, _, b := buildMesh(t, n, 2.5, int64(100+n))
+		m, mg, b := buildMesh(t, n, 2.5, int64(100+n))
 		cnt := m.N
 		ref, _, err := m.SolveCG(b, 1e-12, 20*cnt)
 		if err != nil {
 			t.Fatalf("n=%d: CG: %v", n, err)
 		}
-		for _, sm := range allSmoothers {
-			_, mg, _ := buildMeshSmoother(t, n, 2.5, int64(100+n), sm)
-			var ws Workspace
-			x, iters, err := m.SolveMGW(&ws, mg, b, 1e-11, 20*cnt)
-			if err != nil {
-				t.Fatalf("n=%d %v: MG-PCG: %v", n, sm, err)
-			}
-			if iters <= 0 || iters > 30 {
-				t.Errorf("n=%d %v: MG-PCG took %d iterations", n, sm, iters)
-			}
-			assertClose(t, x, ref, 1e-9)
-			// Stationary tolerance stays off the double-precision floor
-			// (the weaker smoothers limp once the residual nears it).
-			xs, sIters, err := m.SolveMG(mg, b, 1e-9, 300)
-			if err != nil {
-				t.Fatalf("n=%d %v: stationary MG: %v", n, sm, err)
-			}
-			if sIters > 150 {
-				t.Errorf("n=%d %v: stationary MG took %d iterations", n, sm, sIters)
-			}
-			assertClose(t, xs, ref, 1e-7)
+		var ws Workspace
+		x, iters, err := m.SolveMGW(&ws, mg, b, 1e-11, 20*cnt)
+		if err != nil {
+			t.Fatalf("n=%d: MG-PCG: %v", n, err)
 		}
+		if iters <= 0 || iters > 30 {
+			t.Errorf("n=%d: MG-PCG took %d iterations", n, iters)
+		}
+		assertClose(t, x, ref, 1e-9)
+		// Stationary tolerance stays off the double-precision floor.
+		xs, sIters, err := m.SolveMG(mg, b, 1e-9, 300)
+		if err != nil {
+			t.Fatalf("n=%d: stationary MG: %v", n, err)
+		}
+		if sIters > 150 {
+			t.Errorf("n=%d: stationary MG took %d iterations", n, sIters)
+		}
+		assertClose(t, xs, ref, 1e-7)
 	}
 }
 
@@ -74,35 +54,33 @@ func assertClose(t *testing.T, got, want []float64, tol float64) {
 	}
 }
 
-// TestVCycleIsSymmetric verifies ⟨u, M·v⟩ = ⟨v, M·u⟩ for every smoother's
-// V-cycle — the A-adjoint pre/post pairing that makes the preconditioner
-// CG-safe. A broken pairing (e.g. red-then-black on both sides of the
-// coarse correction) fails this long before it visibly stalls MG-PCG.
+// TestVCycleIsSymmetric verifies ⟨u, M·v⟩ = ⟨v, M·u⟩ for the V-cycle —
+// the A-adjoint pre/post pairing that makes the preconditioner CG-safe. A
+// broken pairing (a non-self-adjoint smoother on both sides of the coarse
+// correction) fails this long before it visibly stalls MG-PCG.
 func TestVCycleIsSymmetric(t *testing.T) {
 	const n = 31
-	for _, sm := range allSmoothers {
-		_, mg, _ := buildMeshSmoother(t, n, 1.75, 7, sm)
-		cnt := n*n - 1
-		rng := rand.New(rand.NewSource(11))
-		u := make([]float64, cnt)
-		v := make([]float64, cnt)
-		for i := range u {
-			u[i] = rng.NormFloat64()
-			v[i] = rng.NormFloat64()
-		}
-		mu := make([]float64, cnt)
-		mv := make([]float64, cnt)
-		mg.Apply(u, mu)
-		mg.Apply(v, mv)
-		uMv, vMu, norm := 0.0, 0.0, 0.0
-		for i := range u {
-			uMv += u[i] * mv[i]
-			vMu += v[i] * mu[i]
-			norm += math.Abs(u[i]*mv[i]) + math.Abs(v[i]*mu[i])
-		}
-		if d := math.Abs(uMv - vMu); d > 1e-12*norm {
-			t.Errorf("%v: V-cycle not symmetric: ⟨u,Mv⟩=%g ⟨v,Mu⟩=%g (|Δ|=%g)", sm, uMv, vMu, d)
-		}
+	_, mg, _ := buildMesh(t, n, 1.75, 7)
+	cnt := n*n - 1
+	rng := rand.New(rand.NewSource(11))
+	u := make([]float64, cnt)
+	v := make([]float64, cnt)
+	for i := range u {
+		u[i] = rng.NormFloat64()
+		v[i] = rng.NormFloat64()
+	}
+	mu := make([]float64, cnt)
+	mv := make([]float64, cnt)
+	mg.Apply(u, mu)
+	mg.Apply(v, mv)
+	uMv, vMu, norm := 0.0, 0.0, 0.0
+	for i := range u {
+		uMv += u[i] * mv[i]
+		vMu += v[i] * mu[i]
+		norm += math.Abs(u[i]*mv[i]) + math.Abs(v[i]*mu[i])
+	}
+	if d := math.Abs(uMv - vMu); d > 1e-12*norm {
+		t.Errorf("V-cycle not symmetric: ⟨u,Mv⟩=%g ⟨v,Mu⟩=%g (|Δ|=%g)", uMv, vMu, d)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // the life of the process, so repeated SizeRails / PessimisticRatio sweeps
 // stop re-deriving the pattern from scratch; concurrent solves share it
 // read-only and draw their mutable state (values, RHS, multigrid
-// hierarchy, Krylov workspace) from the per-assembly pool.
+// hierarchy, Krylov workspace) from the spare slot or the per-assembly
+// pool.
 type meshAssembly struct {
 	n      int
 	cnt    int       // unknowns: n²−1 (center node eliminated)
@@ -127,11 +128,33 @@ func capAssemblies(keep int) {
 	})
 }
 
-// solver draws pooled per-solve state, building the multigrid hierarchy on
-// a pool miss. This is an acquire-helper: ownership of the pooled solver
-// transfers to the caller, and Mesh.Solve defers the a.pool.Put.
+// spare holds the most recently released solver outside its assembly's
+// pool. A sync.Pool empties after two GCs without a Get, and a sweep
+// streaming its variants, or a client posting sweep after sweep, runs
+// several GCs between two solves of one mesh size; each lost solver costs
+// ~176·n² bytes of hierarchy and workspace to rebuild (at n = 255 that
+// doubled the bytes a sweep allocates). One slot keeps the common
+// one-size-at-a-time case warm while pinning at most one solver, whatever
+// sizes clients ask for.
+var spare struct {
+	mu  sync.Mutex
+	asm *meshAssembly // guarded by mu
+	sv  *meshSolver   // guarded by mu
+}
+
+// solver draws per-solve state — the spare if it belongs to this
+// assembly, else the pool — building the multigrid hierarchy on a miss.
+// This is an acquire-helper: ownership of the solver transfers to the
+// caller, and Mesh.Solve defers a.release.
 func (a *meshAssembly) solver() (*meshSolver, error) {
-	//lint:allow poolescape acquire-helper; Mesh.Solve defers asm.pool.Put(sv)
+	spare.mu.Lock()
+	if sv := spare.sv; sv != nil && spare.asm == a {
+		spare.sv = nil
+		spare.mu.Unlock()
+		return sv, nil
+	}
+	spare.mu.Unlock()
+	//lint:allow poolescape acquire-helper; Mesh.Solve defers asm.release(sv)
 	if v := a.pool.Get(); v != nil {
 		return v.(*meshSolver), nil
 	}
@@ -145,6 +168,18 @@ func (a *meshAssembly) solver() (*meshSolver, error) {
 		rhs:  make([]float64, a.cnt),
 		mg:   mg,
 	}, nil
+}
+
+// release makes sv the spare and returns the solver it displaces to that
+// solver's own assembly pool.
+func (a *meshAssembly) release(sv *meshSolver) {
+	spare.mu.Lock()
+	oldAsm, old := spare.asm, spare.sv
+	spare.asm, spare.sv = a, sv
+	spare.mu.Unlock()
+	if old != nil {
+		oldAsm.pool.Put(old)
+	}
 }
 
 // refill writes the conductance-dependent values for edge conductance g

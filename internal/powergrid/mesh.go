@@ -71,12 +71,6 @@ func NewMesh(s GridSpec, railWidthM, railPitchM float64, n int) (*Mesh, error) {
 // the net. The same drop occurs on the ground net, so the supply-loop drop
 // is twice the returned value.
 func (m *Mesh) Solve() (maxDropV float64, err error) {
-	// A sweep may have batch-solved this exact system already
-	// (PrimeSolves); the parked drop is bit-identical to what the solve
-	// below would produce, and its telemetry was recorded at prime time.
-	if d, ok := consumePrimed(m); ok {
-		return d, nil
-	}
 	// The sparsity pattern depends only on the grid dimension; the cached
 	// assembly is refilled for this mesh's conductance and wrapped as a
 	// frozen CSR without copying (assemblyFor documents the bit-identity
@@ -86,7 +80,7 @@ func (m *Mesh) Solve() (maxDropV float64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	defer asm.pool.Put(sv)
+	defer asm.release(sv)
 	g := 1 / m.EdgeOhms
 	sv.refill(asm, g, m.NodeCurrentA)
 	mat, err := mathx.NewFrozenCSR(asm.cnt, asm.rowPtr, asm.cols, sv.vals, sv.diag)
@@ -127,12 +121,16 @@ func (m *Mesh) Solve() (maxDropV float64, err error) {
 // including the share the designer's lower grid would normally carry
 // sideways — through the top-level sheet, so ratios well above 1 quantify
 // how much the analytic model leans on a healthy lower grid.
+//
+// The drop is memoized per exact mesh (solveMemo): the variants of a
+// scenario sweep that leaves the 35 nm grid alone all size the same mesh,
+// and only the first of them solves it. Mesh.Solve itself never memoizes.
 func PessimisticRatio(s GridSpec, n int) (ratio float64, err error) {
 	mesh, err := PessimisticMesh(s, n)
 	if err != nil {
 		return 0, err
 	}
-	drop, err := mesh.Solve()
+	drop, err := solveMemo(mesh)
 	if err != nil {
 		return 0, err
 	}
@@ -141,9 +139,8 @@ func PessimisticRatio(s GridSpec, n int) (ratio float64, err error) {
 
 // PessimisticMesh builds (without solving) the mesh PessimisticRatio
 // solves: the sized grid's top-level sheet carrying all current. Split out
-// so sweep batching can collect the meshes of many scenario variants and
-// solve them together before each variant's PessimisticRatio consumes its
-// primed result.
+// so benchmarks and tools can time Mesh.Solve on it directly, outside the
+// memo.
 func PessimisticMesh(s GridSpec, n int) (*Mesh, error) {
 	sz, err := s.SizeRails()
 	if err != nil {

@@ -2,6 +2,7 @@ package powergrid
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -178,6 +179,34 @@ func TestAssemblyCacheBounded(t *testing.T) {
 	// growth is not.
 	if count > maxCachedAssemblies+1 {
 		t.Fatalf("%d assemblies cached, bound is %d", count, maxCachedAssemblies)
+	}
+}
+
+// TestSolverSurvivesGC: the last released solver stays in the spare slot,
+// so solves of one mesh size separated by garbage collections (which
+// empty a sync.Pool) reuse it instead of rebuilding the multigrid
+// hierarchy and workspace — dozens of allocations at any size.
+func TestSolverSurvivesGC(t *testing.T) {
+	sz, err := spec35(80e-6).SizeRails()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMesh(spec35(80e-6), sz.RailWidthM, 80e-6, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		runtime.GC()
+		if _, err := m.Solve(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("solve after two GCs allocates %.0f objects, want the spare solver reused (≤ 2)", allocs)
 	}
 }
 

@@ -8,22 +8,21 @@ import "sync/atomic"
 // (≤ 25 through n = 255), and a regression there — a broken prolongation,
 // a bad smoother weight — shows up as iteration creep long before results
 // go wrong. Every Mesh.Solve accounts its count here; the daemon exports
-// both counters on /metrics so that creep is visible on a dashboard, not
+// the counters on /metrics so that creep is visible on a dashboard, not
 // just in benchmarks.
-var meshSolves, meshSolveIters, meshBatchedSolves atomic.Uint64
+var meshSolves, meshSolveIters, meshMemoHits atomic.Uint64
 
 // SolveStats is a point-in-time snapshot of the mesh-solve counters.
 type SolveStats struct {
-	// Solves is the number of completed mesh solves (solo Mesh.Solve calls
-	// plus every variant a batch solved); Iterations is the total MG-PCG
-	// iterations they spent. Iterations/Solves is the health number:
-	// near-constant per mesh size by construction.
+	// Solves is the number of mesh solves that ran to completion;
+	// Iterations is the total MG-PCG iterations they spent.
+	// Iterations/Solves is the health number: near-constant per mesh size
+	// by construction.
 	Solves, Iterations uint64
-	// Batched counts the subset of Solves that ran through the lockstep
-	// multi-RHS kernel (SolveMeshBatch). Sweeps should push it toward
-	// Solves; a sweep-heavy deployment with Batched ≈ 0 means the priming
-	// wiring regressed and every variant pays a full pattern traversal.
-	Batched uint64
+	// MemoHits counts PessimisticRatio calls answered by the drop memo
+	// instead of a solve, including callers that waited on a solve already
+	// in flight. Solves + MemoHits is the number of drops handed out.
+	MemoHits uint64
 }
 
 // ReadSolveStats snapshots the counters for /metrics.
@@ -31,19 +30,11 @@ func ReadSolveStats() SolveStats {
 	return SolveStats{
 		Solves:     meshSolves.Load(),
 		Iterations: meshSolveIters.Load(),
-		Batched:    meshBatchedSolves.Load(),
+		MemoHits:   meshMemoHits.Load(),
 	}
 }
 
 func recordSolve(iters int) {
 	meshSolves.Add(1)
 	meshSolveIters.Add(uint64(iters))
-}
-
-// recordBatchedSolve accounts one variant of a lockstep batch: a mesh
-// solve like any other (the Solves/Iterations contract is per system
-// solved, not per kernel invocation) plus the batched-path counter.
-func recordBatchedSolve(iters int) {
-	recordSolve(iters)
-	meshBatchedSolves.Add(1)
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nanometer/internal/powergrid"
 	"nanometer/internal/result"
 )
 
@@ -287,10 +288,15 @@ func (o Options) computeKey() string {
 // makes "equal ETag ⇒ equal bytes" hold across replicas too.
 func (o Options) CacheKey() string { return o.computeKey() }
 
-// ResetCache atomically drops every memoized result. Safe to call while
-// computes are in flight: a reader that already holds the old generation
-// finishes against it (and its result simply becomes unreachable); new
-// calls start on the empty generation. The daemon's cache-flush endpoint
-// and benchmarks use this; cumulative hit/miss counters are preserved, and
-// the result store is untouched (it exists to survive exactly this).
-func ResetCache() { cache.Store(new(cacheState)) }
+// ResetCache atomically drops every memoized result, including the power
+// grid's mesh-drop memo, so the next compute of any artifact runs its
+// models again. Safe to call while computes are in flight: a reader that
+// already holds the old generation finishes against it (and its result
+// simply becomes unreachable); new calls start on the empty generation.
+// The daemon's cache-flush endpoint and benchmarks use this; cumulative
+// hit/miss counters are preserved, and the result store is untouched (it
+// exists to survive exactly this).
+func ResetCache() {
+	cache.Store(new(cacheState))
+	powergrid.ResetMemo()
+}

@@ -68,56 +68,28 @@ func TestVariantJobsMatchSequentialBytes(t *testing.T) {
 	}
 }
 
-// TestPrimeVariantsTelemetryNeutral is the guard the CI scenario smoke
-// depends on: priming must not move the compute-cache hit/miss counters
-// (it probes map presence, never ComputeCached), and must batch exactly
-// the sweep's mesh solves so the per-variant computes consume them.
-func TestPrimeVariantsTelemetryNeutral(t *testing.T) {
+// TestSweepSharedMeshSolvesOnce: a vdd sweep at 70 nm leaves c8's 35 nm
+// grid alone, so its variants all size one mesh. The first variant solves
+// it and the rest are memo hits (Solves + MemoHits = variants), and
+// ResetCache drops the memo along with the results, so the same sweep
+// after a flush solves again.
+func TestSweepSharedMeshSolvesOnce(t *testing.T) {
 	ResetCache()
+	defer ResetCache()
 	variants := sweepVariants(t, 3)
 	arts, err := Select([]string{"c8"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheBefore := ReadCacheStats()
-	solvesBefore := powergrid.ReadSolveStats()
-	PrimeVariants(arts, Options{}, variants)
-	cacheAfter := ReadCacheStats()
-	solvesAfter := powergrid.ReadSolveStats()
-	if cacheAfter.Hits != cacheBefore.Hits || cacheAfter.Misses != cacheBefore.Misses {
-		t.Errorf("priming moved cache counters: hits %d→%d misses %d→%d",
-			cacheBefore.Hits, cacheAfter.Hits, cacheBefore.Misses, cacheAfter.Misses)
-	}
-	if got := solvesAfter.Batched - solvesBefore.Batched; got != 3 {
-		t.Errorf("priming batched %d solves, want 3", got)
-	}
-	// The primed variants' computes consume the parked drops: no further
-	// mesh solves run.
-	for _, v := range variants {
-		if _, err := arts[0].ComputeCached(Options{Scenario: v}); err != nil {
+	for round := 0; round < 2; round++ {
+		before := powergrid.ReadSolveStats()
+		if _, err := ComputeAllVariants(runner.Pool{Workers: 2}, arts, Options{}, variants); err != nil {
 			t.Fatal(err)
 		}
-	}
-	consumed := powergrid.ReadSolveStats()
-	if got := consumed.Solves - solvesAfter.Solves; got != 0 {
-		t.Errorf("computes after priming ran %d extra mesh solves, want 0", got)
-	}
-}
-
-// TestPrimeVariantsNoopWithoutHeavyArtifact: selections without c8 have no
-// mesh-bound compute to share, so priming must not solve anything (the CI
-// scenario smoke posts only=t1 sweeps and asserts exact solve counts).
-func TestPrimeVariantsNoopWithoutHeavyArtifact(t *testing.T) {
-	ResetCache()
-	variants := sweepVariants(t, 3)
-	arts, err := Select([]string{"t1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := powergrid.ReadSolveStats()
-	PrimeVariants(arts, Options{}, variants)
-	after := powergrid.ReadSolveStats()
-	if after.Solves != before.Solves {
-		t.Errorf("priming without c8 ran %d mesh solves", after.Solves-before.Solves)
+		after := powergrid.ReadSolveStats()
+		if solves, hits := after.Solves-before.Solves, after.MemoHits-before.MemoHits; solves != 1 || hits != 2 {
+			t.Errorf("round %d: sweep recorded %d solves and %d memo hits, want 1 and 2", round, solves, hits)
+		}
+		ResetCache()
 	}
 }

@@ -127,9 +127,9 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue) *metrics {
 	reg.CounterFunc("nanoreprod_mesh_solve_iterations_total",
 		"Total MG-PCG iterations spent in mesh solves.",
 		func() float64 { return float64(powergrid.ReadSolveStats().Iterations) })
-	reg.CounterFunc("nanoreprod_mesh_solves_batched_total",
-		"Subset of mesh solves that ran through the lockstep multi-RHS sweep kernel (scenario sweeps should push this toward solves_total).",
-		func() float64 { return float64(powergrid.ReadSolveStats().Batched) })
+	reg.CounterFunc("nanoreprod_mesh_solve_memo_hits_total",
+		"Mesh drops served by the power-grid memo instead of a solve (variants of a sweep that share one mesh); solves_total plus this counts every drop handed out.",
+		func() float64 { return float64(powergrid.ReadSolveStats().MemoHits) })
 	// Admission-gate visibility: how loaded the compute pool is and how
 	// deep the queue behind it runs.
 	reg.GaugeFunc("nanoreprod_gate_in_flight_units",

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -258,6 +259,67 @@ func TestScenariosCommittedFileOverHTTP(t *testing.T) {
 	if !checked {
 		t.Error("no scenario checks present on c7 under ext65")
 	}
+}
+
+// TestScenariosSharedMeshSweepSolvesOnce pins honest mesh counters: a
+// 9-step clock sweep of c8 at mesh-n=255 leaves the power grid alone, so
+// its variants share one mesh — one solve runs, the other eight variants
+// are memo hits. A cache flush drops the memo too, so the same sweep
+// afterwards solves once again.
+func TestScenariosSharedMeshSweepSolvesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a real 255×255 mesh; run without -short")
+	}
+	repro.ResetCache()
+	defer repro.ResetCache()
+	srv := New(Config{})
+	body := `{"name":"shared","sweep":{"param":"clock","steps":9,"span_pct":20,"nodes":[35]}}`
+	for round := 0; round < 2; round++ {
+		solves := metricValue(t, srv, "nanoreprod_mesh_solves_total")
+		hits := metricValue(t, srv, "nanoreprod_mesh_solve_memo_hits_total")
+		rec := postScenario(t, srv, "/api/v1/scenarios?only=c8&mesh-n=255", body)
+		if rec.Code != 200 {
+			t.Fatalf("round %d: POST = %d (%s)", round, rec.Code, rec.Body.String())
+		}
+		lines := decodeLines(t, rec.Body)
+		if len(lines) != 9 {
+			t.Fatalf("round %d: got %d lines, want 9", round, len(lines))
+		}
+		for i, line := range lines {
+			if line.Error != "" || len(line.Artifacts) != 1 {
+				t.Fatalf("round %d line %d: error %q, %d artifacts", round, i, line.Error, len(line.Artifacts))
+			}
+		}
+		dSolves := metricValue(t, srv, "nanoreprod_mesh_solves_total") - solves
+		dHits := metricValue(t, srv, "nanoreprod_mesh_solve_memo_hits_total") - hits
+		if dSolves != 1 || dHits != 8 {
+			t.Errorf("round %d: sweep recorded %g mesh solves and %g memo hits, want 1 and 8", round, dSolves, dHits)
+		}
+		flush := httptest.NewRequest("POST", "/api/v1/cache/flush", nil)
+		frec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(frec, flush)
+		if frec.Code != 200 {
+			t.Fatalf("flush = %d", frec.Code)
+		}
+	}
+}
+
+// metricValue reads one unlabeled series from the server's /metrics text.
+func metricValue(t *testing.T, srv *Server, name string) float64 {
+	t.Helper()
+	var met bytes.Buffer
+	srv.met.reg.WritePrometheus(&met)
+	for _, l := range strings.Split(met.String(), "\n") {
+		if v, ok := strings.CutPrefix(l, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", l, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metric %s not exported", name)
+	return 0
 }
 
 // grepLines filters s to lines containing sub (test-failure readability).
