@@ -331,6 +331,7 @@ func BenchmarkSTAFull(b *testing.B) {
 func BenchmarkSTAIncrementalEdit(b *testing.B) {
 	c := freshCircuit(b, 1.15)
 	inc := sta.NewIncremental(c)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := &c.Gates[i%len(c.Gates)]

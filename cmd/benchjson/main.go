@@ -2,10 +2,11 @@
 // `go test -bench` and distills the output into one machine-readable JSON
 // document (by convention committed as BENCH_<pr>.json), so performance
 // claims in review are pinned to numbers a script can diff rather than
-// prose. The default selection covers the solver kernels (per-variant
-// ns/op, allocs/op, and solver iteration counts), the smoother ablation,
-// the batched sweep solve, the RC-transient validator, and the
-// full-report wall clock at each worker count. With -cpu the whole
+// prose. The default selection covers the mesh solver kernels
+// (per-variant ns/op, allocs/op, and solver iteration counts), the
+// RC-transient validator, the full-report wall clock at each worker count,
+// and the timing-bound claims (c3 library sizing, c6 re-sizing) with the
+// incremental-STA edit they are built on. With -cpu the whole
 // selection repeats per GOMAXPROCS value, pinning the serial/parallel
 // matrix in one document.
 //
@@ -31,10 +32,12 @@ import (
 type Report struct {
 	// GeneratedAt is the RFC 3339 run timestamp.
 	GeneratedAt string `json:"generated_at"`
-	// GoVersion and CPU identify the toolchain and the machine;
-	// GOMAXPROCS is the parallelism the numbers were taken at.
+	// GoVersion and CPU identify the toolchain and the machine; NProc is
+	// its logical CPU count and GOMAXPROCS the parallelism the numbers
+	// were taken at.
 	GoVersion  string `json:"go_version"`
 	CPU        string `json:"cpu,omitempty"`
+	NProc      int    `json:"nproc"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Bench is the -bench regexp the run used; Benchtime the -benchtime.
 	Bench     string `json:"bench"`
@@ -73,7 +76,7 @@ type Benchmark struct {
 func main() {
 	var (
 		out       = flag.String("out", "", "output file (default stdout)")
-		bench     = flag.String("bench", "BenchmarkMeshSolve|BenchmarkValidationRCSim|BenchmarkFullReport", "go test -bench regexp")
+		bench     = flag.String("bench", "BenchmarkMeshSolve|BenchmarkValidationRCSim|BenchmarkFullReport|BenchmarkClaimLibopt|BenchmarkClaimResize|BenchmarkSTAIncrementalEdit", "go test -bench regexp")
 		benchtime = flag.String("benchtime", "1s", "go test -benchtime value")
 		pkg       = flag.String("pkg", ".", "package pattern holding the benchmarks")
 		cpu       = flag.String("cpu", "", "go test -cpu matrix, e.g. 1,4 (each benchmark repeats per GOMAXPROCS value)")
@@ -84,6 +87,7 @@ func main() {
 	rep := &Report{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
+		NProc:       runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Bench:       *bench,
 		Benchtime:   *benchtime,

@@ -237,6 +237,61 @@ func TestTechCellCharacteristics(t *testing.T) {
 	}
 }
 
+// The lazily filled flavor table must hand back the same characteristics
+// whatever order flavors are first asked for in — a wider gate arriving
+// later grows the table without disturbing the slots already filled — and
+// must not alias a class outside the technology onto another flavor.
+func TestCellFlavorTableOrderIndependent(t *testing.T) {
+	type flavor struct {
+		kind             gate.Kind
+		inputs, vdd, vth int
+	}
+	var flavors []flavor
+	for _, k := range []gate.Kind{gate.Inv, gate.Nand, gate.Nor} {
+		for inputs := 1; inputs <= 4; inputs++ {
+			if (k == gate.Inv) != (inputs == 1) {
+				continue
+			}
+			for vdd := 0; vdd < 2; vdd++ {
+				for vth := 0; vth < 2; vth++ {
+					flavors = append(flavors, flavor{k, inputs, vdd, vth})
+				}
+			}
+		}
+	}
+	values := func(tech *Tech, f flavor) [4]float64 {
+		return [4]float64{
+			tech.PinCapacitance(f.kind, f.inputs, f.vdd, f.vth, 1.5),
+			tech.CellDelay(f.kind, f.inputs, f.vdd, f.vth, 1.5, 10e-15),
+			tech.CellLeakage(f.kind, f.inputs, f.vdd, f.vth, 1.5),
+			tech.CellEnergy(f.kind, f.inputs, f.vdd, f.vth, 1.5, 10e-15),
+		}
+	}
+	fwd, rev := MustNewTech(100, 0.65), MustNewTech(100, 0.65)
+	for i := len(flavors) - 1; i >= 0; i-- {
+		values(rev, flavors[i])
+	}
+	for _, f := range flavors {
+		if a, b := values(fwd, f), values(rev, f); a != b {
+			t.Fatalf("flavor %+v: %v filled in order, %v filled in reverse", f, a, b)
+		}
+	}
+
+	// Dropping the high threshold re-lays the table out; the nominal
+	// flavors keep their values and the dropped class is refused.
+	want := values(fwd, flavor{gate.Nand, 3, 1, 0})
+	fwd.VthLevels = fwd.VthLevels[:1]
+	if got := values(fwd, flavor{gate.Nand, 3, 1, 0}); got != want {
+		t.Fatalf("after dropping a Vth level: %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("a Vth class outside the technology must panic")
+		}
+	}()
+	fwd.CellDelay(gate.Nand, 3, 0, 1, 1, 10e-15)
+}
+
 func TestGateDelayIncludesLCPenalty(t *testing.T) {
 	c := genTest(t, 100, 4)
 	g := &c.Gates[50]

@@ -1,8 +1,6 @@
 package sta
 
 import (
-	"container/heap"
-
 	"nanometer/internal/netlist"
 )
 
@@ -12,7 +10,12 @@ import (
 // size), then calls TryUpdate with the set of gates whose *delay* may have
 // changed; the engine repropagates arrivals through the affected cone and
 // reports whether the period still holds. Rejected edits are rolled back by
-// the returned restore function (the caller un-mutates its own fields).
+// the engine (the caller un-mutates its own fields).
+//
+// A trial allocates nothing: the undo state lives in dense per-gate arrays
+// sized once by NewIncremental and stamped with a per-trial epoch, so
+// "saved this trial" is savedArr[i] == epoch and rollback walks only the
+// gates the trial touched.
 type Incremental struct {
 	c *netlist.Circuit
 	// ArrivalS and DelayS mirror the Result fields and stay current.
@@ -21,42 +24,103 @@ type Incremental struct {
 	PeriodS float64
 
 	eps float64
+
+	// epoch identifies the current trial; a stamp equal to it means the
+	// gate's slot was written this trial.
+	epoch uint32
+	// savedArr/savedDelay stamp the gates whose pre-trial arrival/delay
+	// sits in oldArr/oldDelay; queued stamps the gates in the heap.
+	savedArr, savedDelay, queued []uint32
+	oldArr, oldDelay             []float64
+	// arrUndo/delayUndo list the stamped gates, for rollback.
+	arrUndo, delayUndo []int
+	heap               gateHeap
 }
 
 // NewIncremental analyzes the circuit and returns an incremental view. The
 // circuit must currently meet its period.
 func NewIncremental(c *netlist.Circuit) *Incremental {
 	r := Analyze(c)
+	n := len(c.Gates)
 	return &Incremental{
-		c:        c,
-		ArrivalS: r.ArrivalS,
-		DelayS:   r.DelayS,
-		PeriodS:  r.PeriodS,
-		eps:      r.PeriodS * 1e-12,
+		c:          c,
+		ArrivalS:   r.ArrivalS,
+		DelayS:     r.DelayS,
+		PeriodS:    r.PeriodS,
+		eps:        r.PeriodS * 1e-12,
+		savedArr:   make([]uint32, n),
+		savedDelay: make([]uint32, n),
+		queued:     make([]uint32, n),
+		oldArr:     make([]float64, n),
+		oldDelay:   make([]float64, n),
+		// Each gate enters each list at most once per trial, so capacity
+		// n means no trial ever grows them.
+		arrUndo:   make([]int, 0, n),
+		delayUndo: make([]int, 0, n),
+		heap:      make(gateHeap, 0, n),
 	}
 }
 
-// Slack returns gate i's slack against the period using a fresh backward
-// pass. It is O(n); optimization loops should prefer Result.SlackS
-// snapshots and TryUpdate for exactness.
-func (inc *Incremental) Slack(i int) float64 {
-	r := Analyze(inc.c)
-	return r.SlackS[i]
+// gateHeap is a min-heap of gate IDs (topological order).
+type gateHeap []int
+
+func (h *gateHeap) push(i int) {
+	s := append(*h, i)
+	for j := len(s) - 1; j > 0; {
+		p := (j - 1) / 2
+		if s[p] <= s[j] {
+			break
+		}
+		s[p], s[j] = s[j], s[p]
+		j = p
+	}
+	*h = s
 }
 
-// intHeap is a min-heap of gate IDs (topological order).
-type intHeap []int
+func (h *gateHeap) pop() int {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for j := 0; ; {
+		m, l, r := j, 2*j+1, 2*j+2
+		if l < last && s[l] < s[m] {
+			m = l
+		}
+		if r < last && s[r] < s[m] {
+			m = r
+		}
+		if m == j {
+			break
+		}
+		s[j], s[m] = s[m], s[j]
+		j = m
+	}
+	*h = s
+	return top
+}
 
-func (h intHeap) Len() int            { return len(h) }
-func (h intHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x interface{}) { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// nextEpoch starts a trial. When the counter wraps, every stamp is cleared
+// once so no stale stamp can equal a reused epoch.
+func (inc *Incremental) nextEpoch() {
+	inc.epoch++
+	if inc.epoch == 0 {
+		clear(inc.savedArr)
+		clear(inc.savedDelay)
+		clear(inc.queued)
+		inc.epoch = 1
+	}
+	inc.arrUndo = inc.arrUndo[:0]
+	inc.delayUndo = inc.delayUndo[:0]
+	inc.heap = inc.heap[:0]
+}
+
+func (inc *Incremental) push(i int) {
+	if inc.queued[i] != inc.epoch {
+		inc.queued[i] = inc.epoch
+		inc.heap.push(i)
+	}
 }
 
 // TryUpdate repropagates timing after the caller mutated the given gates.
@@ -64,31 +128,24 @@ func (h *intHeap) Pop() interface{} {
 // that case the edit is committed. When ok = false the engine has already
 // restored its arrays and the caller must revert its own field mutations.
 func (inc *Incremental) TryUpdate(changed ...int) bool {
-	oldArr := map[int]float64{}
-	oldDelay := map[int]float64{}
-
-	h := &intHeap{}
-	inHeap := map[int]bool{}
-	push := func(i int) {
-		if !inHeap[i] {
-			inHeap[i] = true
-			heap.Push(h, i)
-		}
-	}
+	inc.nextEpoch()
+	ep := inc.epoch
 	for _, i := range changed {
 		// The changed list may contain duplicates (e.g. a driver feeding
 		// two pins of the same gate); only the first sighting holds the
 		// pre-trial delay.
-		if _, seen := oldDelay[i]; !seen {
-			oldDelay[i] = inc.DelayS[i]
+		if inc.savedDelay[i] != ep {
+			inc.savedDelay[i] = ep
+			inc.oldDelay[i] = inc.DelayS[i]
+			inc.delayUndo = append(inc.delayUndo, i)
 		}
 		inc.DelayS[i] = inc.c.GateDelay(&inc.c.Gates[i])
-		push(i)
+		inc.push(i)
 	}
 	ok := true
-	for h.Len() > 0 {
-		i := heap.Pop(h).(int)
-		inHeap[i] = false
+	for len(inc.heap) > 0 {
+		i := inc.heap.pop()
+		inc.queued[i] = 0
 		g := &inc.c.Gates[i]
 		in := 0.0
 		for _, ref := range g.Inputs {
@@ -103,8 +160,10 @@ func (inc *Incremental) TryUpdate(changed ...int) bool {
 		if newArr == inc.ArrivalS[i] {
 			continue
 		}
-		if _, saved := oldArr[i]; !saved {
-			oldArr[i] = inc.ArrivalS[i]
+		if inc.savedArr[i] != ep {
+			inc.savedArr[i] = ep
+			inc.oldArr[i] = inc.ArrivalS[i]
+			inc.arrUndo = append(inc.arrUndo, i)
 		}
 		inc.ArrivalS[i] = newArr
 		if g.IsPO && newArr > inc.PeriodS+inc.eps {
@@ -112,15 +171,15 @@ func (inc *Incremental) TryUpdate(changed ...int) bool {
 			break
 		}
 		for _, fo := range g.Fanouts {
-			push(fo)
+			inc.push(fo)
 		}
 	}
 	if !ok {
-		for i, a := range oldArr {
-			inc.ArrivalS[i] = a
+		for _, i := range inc.arrUndo {
+			inc.ArrivalS[i] = inc.oldArr[i]
 		}
-		for i, d := range oldDelay {
-			inc.DelayS[i] = d
+		for _, i := range inc.delayUndo {
+			inc.DelayS[i] = inc.oldDelay[i]
 		}
 	}
 	return ok

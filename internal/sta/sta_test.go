@@ -251,7 +251,112 @@ func TestIncrementalMetAndWorstArrival(t *testing.T) {
 	if math.Abs(inc.WorstArrival()-full.MaxDelayS) > 1e-15 {
 		t.Fatalf("worst arrival mismatch")
 	}
-	if s := inc.Slack(0); math.Abs(s-full.SlackS[0]) > 1e-15 {
-		t.Fatalf("incremental slack mismatch")
+}
+
+// trialSeeds lists the gates whose delay an edit of gate i may change: i
+// itself and its gate fanins, whose load includes i's pin capacitance.
+func trialSeeds(c *netlist.Circuit, i int) []int {
+	seeds := []int{i}
+	for _, ref := range c.Gates[i].Inputs {
+		if _, isPI := netlist.IsPI(ref); !isPI {
+			seeds = append(seeds, ref)
+		}
+	}
+	return seeds
+}
+
+// The incremental engine must reproduce a fresh full analysis bit for bit:
+// it recomputes each touched arrival as the same max over the same fanins
+// plus the same delay, so no tolerance is allowed. The edit stream mixes
+// size changes, Vth flips and Vdd flips with the level-converter flag
+// toggled, seeds with duplicate fanins, and accepted and rolled-back
+// trials.
+func TestIncrementalDifferentialExact(t *testing.T) {
+	for _, gates := range []int{60, 300, 900} {
+		for _, seed := range []int64{11, 12, 13} {
+			c := genCircuit(t, gates, seed)
+			inc := NewIncremental(c)
+			rng := rand.New(rand.NewSource(seed * 31))
+			accepted, rejected := 0, 0
+			for step := 0; step < 340; step++ {
+				i := rng.Intn(len(c.Gates))
+				g := &c.Gates[i]
+				oldSize, oldVth, oldVdd, oldLC := g.Size, g.VthClass, g.VddClass, g.NeedsLC
+				switch rng.Intn(3) {
+				case 0:
+					g.Size = math.Max(0.5, g.Size*(0.5+rng.Float64()))
+				case 1:
+					g.VthClass = 1 - g.VthClass
+				case 2:
+					g.VddClass = 1 - g.VddClass
+					g.NeedsLC = !g.NeedsLC
+				}
+				seeds := trialSeeds(c, i)
+				if rng.Intn(2) == 0 {
+					seeds = append(seeds, seeds[rng.Intn(len(seeds))])
+				}
+				if inc.TryUpdate(seeds...) {
+					accepted++
+				} else {
+					g.Size, g.VthClass, g.VddClass, g.NeedsLC = oldSize, oldVth, oldVdd, oldLC
+					rejected++
+				}
+				full := Analyze(c)
+				for k := range full.ArrivalS {
+					if inc.ArrivalS[k] != full.ArrivalS[k] || inc.DelayS[k] != full.DelayS[k] {
+						t.Fatalf("gates=%d seed=%d step %d: gate %d arrival %v delay %v, full analysis %v / %v",
+							gates, seed, step, k, inc.ArrivalS[k], inc.DelayS[k], full.ArrivalS[k], full.DelayS[k])
+					}
+				}
+			}
+			if accepted == 0 || rejected == 0 {
+				t.Fatalf("gates=%d seed=%d: edit mix should include accepts and rejects (%d/%d)",
+					gates, seed, accepted, rejected)
+			}
+		}
+	}
+}
+
+// A warmed incremental view must run accepted and rejected trials without
+// allocating.
+func TestIncrementalTrialsDoNotAllocate(t *testing.T) {
+	c := genCircuit(t, 600, 7)
+	r := Analyze(c)
+	inc := NewIncremental(c)
+
+	// Accepted: toggle the size of the gate with the most slack.
+	loose := 0
+	for i := range r.SlackS {
+		if r.SlackS[i] > r.SlackS[loose] {
+			loose = i
+		}
+	}
+	g := &c.Gates[loose]
+	sizes := [2]float64{g.Size, g.Size * 1.05}
+	looseSeeds := trialSeeds(c, loose)
+	flip := 0
+	if n := testing.AllocsPerRun(50, func() {
+		flip = 1 - flip
+		g.Size = sizes[flip]
+		if !inc.TryUpdate(looseSeeds...) {
+			t.Fatalf("resizing the slackest gate must be accepted")
+		}
+	}); n != 0 {
+		t.Fatalf("accepted trial allocates %v times", n)
+	}
+
+	// Rejected: starve a gate on the critical path, then roll back.
+	crit := r.CriticalPath[len(r.CriticalPath)/2]
+	cg := &c.Gates[crit]
+	critSeeds := trialSeeds(c, crit)
+	if n := testing.AllocsPerRun(50, func() {
+		old := cg.Size
+		cg.Size = old * 0.05
+		if inc.TryUpdate(critSeeds...) {
+			t.Fatalf("starving a critical gate must be rejected")
+		}
+		cg.Size = old
+	}); n != 0 {
+		t.Fatalf("rejected trial allocates %v times", n)
 	}
 }
