@@ -27,6 +27,7 @@ import (
 	"nanometer/internal/repro"
 	"nanometer/internal/resize"
 	"nanometer/internal/runner"
+	"nanometer/internal/scenario"
 	"nanometer/internal/sta"
 	"nanometer/internal/units"
 	"nanometer/internal/wire"
@@ -476,20 +477,21 @@ func meshLaplacian(n int) (*mathx.SparseMatrix, []float64) {
 // BenchmarkMeshSolve compares the solver variants on the IR-drop kernel at
 // two grid sizes: allocating CG (the seed behaviour), CG on a reused
 // workspace, Jacobi PCG (on par in iterations here because the mesh
-// diagonal is near-constant), and the production path — frozen CSR with a
-// multigrid V-cycle preconditioner (near-constant iterations in n, zero
-// allocations warm). Iterations are reported per variant; the Krylov
-// variants grow O(n) while MG-workspace stays flat, which is what makes
-// n = 255 affordable.
+// diagonal is near-constant), MG-PCG on the frozen CSR matrix, and the
+// production path — MG-PCG on the matrix-free mesh stencil (near-constant
+// iterations in n, zero allocations warm, bit-identical to the CSR run).
+// Iterations are reported per variant; the Krylov variants grow O(n) while
+// the MG variants stay flat, which is what makes n = 255 affordable.
 func BenchmarkMeshSolve(b *testing.B) {
 	for _, n := range []int{63, 255} {
 		m, rhs := meshLaplacian(n)
 		frozen, _ := meshLaplacian(n)
 		frozen.Freeze()
-		mg, err := mathx.NewMeshMG(n, (n/2)*n+n/2)
+		h, err := mathx.NewMeshHierarchy(n, (n/2)*n+n/2)
 		if err != nil {
 			b.Fatal(err)
 		}
+		mg := mathx.NewMeshMG(h)
 		run := func(name string, solve func(b *testing.B) (int, error)) {
 			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
 				b.ReportAllocs()
@@ -520,14 +522,23 @@ func BenchmarkMeshSolve(b *testing.B) {
 		})
 		var wsMG mathx.Workspace
 		run("MG-workspace", func(b *testing.B) (int, error) {
-			_, it, err := frozen.SolveMGW(&wsMG, mg, rhs, 1e-10, 20*frozen.N)
+			_, it, err := mathx.SolveMGW(frozen, &wsMG, mg, rhs, 1e-10, 20*frozen.N)
+			return it, err
+		})
+		op, err := mathx.NewMeshOperator(n, (n/2)*n+n/2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var wsStencil mathx.Workspace
+		run("MG-stencil", func(b *testing.B) (int, error) {
+			_, it, err := mathx.SolveMGW(op, &wsStencil, mg, rhs, 1e-10, 20*op.Dim())
 			return it, err
 		})
 	}
 }
 
 // BenchmarkMeshSolveGrid runs the full powergrid path (rail sizing, mesh
-// build, cached assembly + pooled workspace + MG-PCG) exactly as Figure 5
+// build, free-list solver + stencil MG-PCG) exactly as Figure 5
 // does, through Mesh.Solve rather than PessimisticRatio so every iteration
 // times a real solve, not a memo hit.
 func BenchmarkMeshSolveGrid(b *testing.B) {
@@ -539,6 +550,35 @@ func BenchmarkMeshSolveGrid(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := m.Solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepDistinctMeshes computes c8 for a 9-step max_power sweep at
+// mesh-n = 255 — nine distinct meshes, no memo hits — on GOMAXPROCS
+// workers, the grid-sweep workload's dominant cost. The compute cache and
+// drop memo are reset every iteration, so each one solves all nine meshes;
+// warm solvers from the previous iteration stay on the free list.
+func BenchmarkSweepDistinctMeshes(b *testing.B) {
+	sc, err := scenario.Parse([]byte(`{"name":"bench","sweep":{"param":"max_power","steps":9,"span_pct":20,"nodes":[35]}}`))
+	if err != nil {
+		b.Fatal(err)
+	}
+	variants, err := sc.Variants()
+	if err != nil {
+		b.Fatal(err)
+	}
+	c8, err := repro.Select([]string{"c8"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := runner.Pool{Workers: runtime.GOMAXPROCS(0)}
+	b.ReportAllocs()
+	defer repro.ResetCache()
+	for i := 0; i < b.N; i++ {
+		repro.ResetCache()
+		if _, err := repro.ComputeAllVariants(pool, c8, repro.Options{MeshN: 255}, variants); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,8 +5,9 @@
 // prose. The default selection covers the mesh solver kernels
 // (per-variant ns/op, allocs/op, and solver iteration counts), the
 // RC-transient validator, the full-report wall clock at each worker count,
-// and the timing-bound claims (c3 library sizing, c6 re-sizing) with the
-// incremental-STA edit they are built on. With -cpu the whole
+// the timing-bound claims (c3 library sizing, c6 re-sizing) with the
+// incremental-STA edit they are built on, and a distinct-mesh c8 sweep at
+// mesh-n = 255 (nine distinct mesh solves on GOMAXPROCS workers). With -cpu the whole
 // selection repeats per GOMAXPROCS value, pinning the serial/parallel
 // matrix in one document.
 //
@@ -76,7 +77,7 @@ type Benchmark struct {
 func main() {
 	var (
 		out       = flag.String("out", "", "output file (default stdout)")
-		bench     = flag.String("bench", "BenchmarkMeshSolve|BenchmarkValidationRCSim|BenchmarkFullReport|BenchmarkClaimLibopt|BenchmarkClaimResize|BenchmarkSTAIncrementalEdit", "go test -bench regexp")
+		bench     = flag.String("bench", "BenchmarkMeshSolve|BenchmarkValidationRCSim|BenchmarkFullReport|BenchmarkClaimLibopt|BenchmarkClaimResize|BenchmarkSTAIncrementalEdit|BenchmarkSweepDistinctMeshes", "go test -bench regexp")
 		benchtime = flag.String("benchtime", "1s", "go test -benchtime value")
 		pkg       = flag.String("pkg", ".", "package pattern holding the benchmarks")
 		cpu       = flag.String("cpu", "", "go test -cpu matrix, e.g. 1,4 (each benchmark repeats per GOMAXPROCS value)")

@@ -61,7 +61,7 @@ var (
 	addr    = flag.String("addr", ":8077", "listen address")
 	gate    = flag.Int64("gate", 0, "admission-gate capacity in compute units (0 = max(8, 4×GOMAXPROCS); one unit ≈ one default-mesh artifact compute)")
 	timeout = flag.Duration("timeout", 30*time.Second, "per-request compute budget, admission wait included")
-	jobs    = flag.Int("jobs", runtime.NumCPU(), "workers for full-report requests")
+	jobs    = flag.Int("jobs", runtime.NumCPU(), "workers for full-report and scenario-sweep requests")
 	drain   = flag.Duration("drain", 15*time.Second, "shutdown grace period for in-flight requests")
 	traceWk = flag.Int("trace-workers", 0, "concurrently running trace-simulation jobs (0 = 2)")
 

@@ -102,21 +102,6 @@ func NewSparseMatrix(n int) *SparseMatrix {
 	}
 }
 
-// NewFrozenCSR wraps pre-built CSR arrays as an already-frozen matrix
-// without copying: rowPtr has length n+1, cols/vals length rowPtr[n] hold
-// the off-diagonals, diag length n the diagonal. Callers that cache a
-// sparsity pattern (the power-grid mesh) share rowPtr/cols across instances
-// and refill only vals/diag.
-func NewFrozenCSR(n int, rowPtr, cols []int32, vals, diag []float64) (*SparseMatrix, error) {
-	switch {
-	case n < 0 || len(rowPtr) != n+1 || len(diag) != n:
-		return nil, fmt.Errorf("mathx: bad CSR shape (n=%d, rowPtr=%d, diag=%d)", n, len(rowPtr), len(diag))
-	case len(cols) != int(rowPtr[n]) || len(vals) != int(rowPtr[n]):
-		return nil, fmt.Errorf("mathx: CSR nnz mismatch (rowPtr[n]=%d, cols=%d, vals=%d)", rowPtr[n], len(cols), len(vals))
-	}
-	return &SparseMatrix{N: n, diag: diag, frozen: true, rowPtr: rowPtr, fcols: cols, fvals: vals}, nil
-}
-
 // Freeze seals assembly and flattens the per-row slices into one contiguous
 // CSR backing array. MulVec afterwards streams rowPtr/fcols/fvals linearly
 // instead of chasing n row headers; results are bit-identical because each row keeps its insertion
@@ -175,6 +160,9 @@ func (s *SparseMatrix) row(r int) ([]int32, []float64) {
 	return s.cols[r], s.vals[r]
 }
 
+// Dim returns the matrix dimension N (the Operator interface).
+func (s *SparseMatrix) Dim() int { return s.N }
+
 // MulVec computes y = A·x. On a frozen matrix the rows stream from the flat
 // CSR arrays.
 func (s *SparseMatrix) MulVec(x, y []float64) {
@@ -213,25 +201,27 @@ func (s *SparseMatrix) residualNorm(b, x, scratch []float64) float64 {
 // Workspace holds the scratch vectors of the iterative solvers so repeated
 // solves of same-sized systems allocate nothing. A zero Workspace is ready
 // to use; it grows on demand and is NOT safe for concurrent use — each
-// goroutine needs its own (or take one from a sync.Pool).
+// goroutine needs its own.
 //
 // The solution slice returned by the *W solver variants aliases the
 // workspace and is only valid until the next solve that reuses it.
+//
+// There is no separate preconditioned-residual vector: every solver here
+// forms z = M⁻¹·r only after r has consumed A·p, so z lives in ap's
+// storage. invDiag is grown only by the Jacobi-preconditioned solver.
 type Workspace struct {
-	x, r, p, z, ap, invDiag []float64
+	x, r, p, ap, invDiag []float64
 }
 
-// grow resizes every scratch vector to length n and zeroes x.
+// grow resizes the Krylov vectors to length n and zeroes x.
 func (w *Workspace) grow(n int) {
 	if cap(w.x) < n {
 		w.x = make([]float64, n)
 		w.r = make([]float64, n)
 		w.p = make([]float64, n)
-		w.z = make([]float64, n)
 		w.ap = make([]float64, n)
-		w.invDiag = make([]float64, n)
 	}
-	w.x, w.r, w.p, w.z, w.ap, w.invDiag = w.x[:n], w.r[:n], w.p[:n], w.z[:n], w.ap[:n], w.invDiag[:n]
+	w.x, w.r, w.p, w.ap = w.x[:n], w.r[:n], w.p[:n], w.ap[:n]
 	for i := range w.x {
 		w.x[i] = 0
 	}
@@ -353,8 +343,14 @@ func (s *SparseMatrix) solvePCG(ws *Workspace, b []float64, tol float64, maxIter
 		return nil, 0, fmt.Errorf("mathx: rhs length %d, want %d", len(b), n)
 	}
 	ws.grow(n)
-	x, r, p, z, ap, invDiag := ws.x, ws.r, ws.p, ws.z, ws.ap, ws.invDiag
+	x, r, p, ap := ws.x, ws.r, ws.p, ws.ap
+	z := ap // dead once r is updated (see Workspace)
+	var invDiag []float64
 	if precond {
+		if cap(ws.invDiag) < n {
+			ws.invDiag = make([]float64, n)
+		}
+		invDiag = ws.invDiag[:n]
 		// Rows of mesh systems always carry a positive diagonal (diagonal
 		// dominance of the Laplacian); reject anything else before iterating.
 		for i, d := range s.diag {

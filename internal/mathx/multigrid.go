@@ -47,7 +47,7 @@ const (
 )
 
 // MeshMG is a geometric multigrid V-cycle preconditioner specialized to the
-// system the resistive power-grid mesh assembles: an n×n node grid with a
+// system of the resistive power-grid mesh: an n×n node grid with a
 // uniform conductance g on every edge, reflective (Neumann) cell
 // boundaries, and exactly one node pinned to 0 V (the bump), whose row and
 // column are eliminated from the unknown vector. Plain CG needs O(n)
@@ -61,50 +61,63 @@ const (
 // (SetConductance) instead of rebuilding levels. Smoothing is a Chebyshev
 // polynomial (see the cheb* constants), transfers are
 // bilinear interpolation and its exact transpose, and the coarsest pinned
-// system is solved by a Cholesky factorization computed once at
-// construction. MeshMG also implements the full-multigrid start SolveMGW
+// system is solved by a Cholesky factorization computed once per
+// MeshHierarchy. MeshMG also implements the full-multigrid start SolveMGW
 // seeds its iteration with (FMGStart; SetFMG disables it for ablation).
 // All level storage is preallocated: Apply performs no allocations, so a
-// pooled MeshMG keeps the whole solve on the zero-alloc warm path.
+// reused MeshMG keeps the whole solve on the zero-alloc warm path.
 type MeshMG struct {
 	n      int
 	levels []*mgLevel
 	invG   float64
 	fmg    bool
 
-	// Coarsest-level direct solve: Cholesky factor of the pinned
-	// unit-conductance system, plus gather/scatter scratch.
-	chol   []float64 // lower triangle, row-major m×m
-	cb, cx []float64 // length m = nc²−1
+	chol   []float64 // shared read-only Cholesky factor (MeshHierarchy)
+	cb, cx []float64 // coarsest gather/scatter scratch, length nc²−1
 }
 
-// mgLevel is one grid of the hierarchy. x/b/r span the full n×n grid; the
-// pinned node is held at 0 by a zero entry in the inverse diagonals (no
-// smoother moves it) and by explicit zeroing after prolongation. off is the
-// sublattice offset used to coarsen THIS level: coarse node k sits at fine
-// index 2k+off per axis. The offset is chosen to match the pin's parity, so
-// the pinned node is a coarse point on every level — without that, the
+// MeshHierarchy is the read-only half of a MeshMG for one (n, pin): the
+// level geometry, each level's inverse diagonal and the coarsest-level
+// Cholesky factor. It is safe for concurrent use, so every MeshMG of one
+// mesh size can share it and own only its mutable level vectors.
+type MeshHierarchy struct {
+	n      int
+	levels []mgShape
+	chol   []float64 // lower triangle, row-major m×m, m = nc²−1
+}
+
+// mgShape is the read-only geometry of one level. off is the sublattice
+// offset used to coarsen THIS level: coarse node k sits at fine index
+// 2k+off per axis. The offset is chosen to match the pin's parity, so the
+// pinned node is a coarse point on every level — without that, the
 // long-range mode anchored only by the pin is mis-modelled on coarse grids
 // and the V-cycle's effectiveness decays as levels are added (measured:
 // iteration counts grew 22→61 from n=31 to n=255 with even-only
 // coarsening; they stay ≤ ~15 with parity-matched coarsening).
-type mgLevel struct {
+type mgShape struct {
 	n       int
 	pin     int
 	off     int
+	invDiag []float64 // 1 / degree, 0 at the pin
+}
+
+// mgLevel is one grid of a MeshMG: the shared shape plus this
+// preconditioner's own vectors. x/b/r span the full n×n grid; the pinned
+// node is held at 0 by a zero entry in the inverse diagonals (no smoother
+// moves it) and by explicit zeroing after prolongation.
+type mgLevel struct {
+	mgShape
 	x, b, r []float64
 	d       []float64 // Chebyshev direction scratch
-	invDiag []float64 // 1 / degree, 0 at the pin
 }
 
 // mgCoarsest is the grid size at which the hierarchy bottoms out into the
 // dense direct solve (≤ 63 unknowns — negligible either way).
 const mgCoarsest = 8
 
-// NewMeshMG builds the hierarchy for an n×n mesh with the node at flat
-// index pin (row·n + col) held at 0 V. Unit edge conductance; call
-// SetConductance to match the assembled system before Apply.
-func NewMeshMG(n, pin int) (*MeshMG, error) {
+// NewMeshHierarchy builds the shared level geometry for an n×n mesh with
+// the node at flat index pin (row·n + col) held at 0 V.
+func NewMeshHierarchy(n, pin int) (*MeshHierarchy, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("mathx: mesh multigrid needs n ≥ 3, got %d", n)
 	}
@@ -112,14 +125,9 @@ func NewMeshMG(n, pin int) (*MeshMG, error) {
 		return nil, fmt.Errorf("mathx: pinned node %d outside %d×%d grid", pin, n, n)
 	}
 	pr, pc := pin/n, pin%n
-	mg := &MeshMG{n: n, invG: 1, fmg: true}
+	h := &MeshHierarchy{n: n}
 	for ln := n; ; {
-		lev := &mgLevel{n: ln, pin: pr*ln + pc}
-		lev.x = make([]float64, ln*ln)
-		lev.b = make([]float64, ln*ln)
-		lev.r = make([]float64, ln*ln)
-		lev.d = make([]float64, ln*ln)
-		lev.invDiag = make([]float64, ln*ln)
+		lev := mgShape{n: ln, pin: pr*ln + pc, invDiag: make([]float64, ln*ln)}
 		for r := 0; r < ln; r++ {
 			for c := 0; c < ln; c++ {
 				deg := 0.0
@@ -139,8 +147,8 @@ func NewMeshMG(n, pin int) (*MeshMG, error) {
 			}
 		}
 		lev.invDiag[lev.pin] = 0
-		mg.levels = append(mg.levels, lev)
 		if ln <= mgCoarsest {
+			h.levels = append(h.levels, lev)
 			break
 		}
 		// Coarsen onto the sublattice containing the pin (coarse node k at
@@ -155,6 +163,7 @@ func NewMeshMG(n, pin int) (*MeshMG, error) {
 			off = pr % 2
 		}
 		lev.off = off
+		h.levels = append(h.levels, lev)
 		ln = (ln - off + 1) / 2
 		pr, pc = (pr-off+1)/2, (pc-off+1)/2
 		if pr > ln-1 {
@@ -164,10 +173,33 @@ func NewMeshMG(n, pin int) (*MeshMG, error) {
 			pc = ln - 1
 		}
 	}
-	if err := mg.factorCoarsest(); err != nil {
+	if err := h.factorCoarsest(); err != nil {
 		return nil, err
 	}
-	return mg, nil
+	return h, nil
+}
+
+// NewMeshMG allocates a preconditioner over the shared hierarchy h: level
+// vectors of its own, geometry, inverse diagonals and coarsest factor
+// borrowed from h. Unit edge conductance; call SetConductance to match the
+// system before Apply.
+func NewMeshMG(h *MeshHierarchy) *MeshMG {
+	mg := &MeshMG{n: h.n, invG: 1, fmg: true, chol: h.chol}
+	for _, shape := range h.levels {
+		sz := shape.n * shape.n
+		mg.levels = append(mg.levels, &mgLevel{
+			mgShape: shape,
+			x:       make([]float64, sz),
+			b:       make([]float64, sz),
+			r:       make([]float64, sz),
+			d:       make([]float64, sz),
+		})
+	}
+	last := h.levels[len(h.levels)-1]
+	m := last.n*last.n - 1
+	mg.cb = make([]float64, m)
+	mg.cx = make([]float64, m)
+	return mg
 }
 
 // SetConductance declares the edge conductance of the system being
@@ -527,9 +559,9 @@ func prolongAdd(coarse, fine *mgLevel) {
 }
 
 // factorCoarsest builds and Cholesky-factors the coarsest pinned system
-// (unit conductance, eliminated layout) once at construction.
-func (mg *MeshMG) factorCoarsest() error {
-	lev := mg.levels[len(mg.levels)-1]
+// (unit conductance, eliminated layout) once per hierarchy.
+func (h *MeshHierarchy) factorCoarsest() error {
+	lev := h.levels[len(h.levels)-1]
 	n, pin := lev.n, lev.pin
 	m := n*n - 1
 	full := func(j int) int { // eliminated index → full-grid index
@@ -594,9 +626,7 @@ func (mg *MeshMG) factorCoarsest() error {
 			a[i*m+j] = s * inv
 		}
 	}
-	mg.chol = a
-	mg.cb = make([]float64, m)
-	mg.cx = make([]float64, m)
+	h.chol = a
 	return nil
 }
 
@@ -670,6 +700,14 @@ func (s *SparseMatrix) SolveMG(mg *MeshMG, b []float64, tol float64, maxIter int
 	return x, maxIter, noConverge("MG", maxIter, rNorm/bNorm)
 }
 
+// Operator is a square linear operator y = A·x of dimension Dim, the
+// system SolveMGW iterates on. *SparseMatrix (assembled CSR) and
+// *MeshOperator (the matrix-free mesh stencil) implement it.
+type Operator interface {
+	Dim() int
+	MulVec(x, y []float64)
+}
+
 // SolveMGW solves A·x = b by conjugate gradients preconditioned with pre
 // (typically a *MeshMG V-cycle), reusing ws for every vector including the
 // returned solution (same aliasing contract as SolvePCGW). When pre offers
@@ -678,13 +716,14 @@ func (s *SparseMatrix) SolveMG(mg *MeshMG, b []float64, tol float64, maxIter int
 // typically saves several Krylov iterations for ~4/3 of a V-cycle of extra
 // work. This is the production power-grid path: near-constant iteration
 // counts as the mesh refines, zero allocations on the warm path.
-func (s *SparseMatrix) SolveMGW(ws *Workspace, pre Preconditioner, b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	n := s.N
+func SolveMGW(a Operator, ws *Workspace, pre Preconditioner, b []float64, tol float64, maxIter int) ([]float64, int, error) {
+	n := a.Dim()
 	if len(b) != n {
 		return nil, 0, fmt.Errorf("mathx: rhs length %d, want %d", len(b), n)
 	}
 	ws.grow(n)
-	x, r, p, z, ap := ws.x, ws.r, ws.p, ws.z, ws.ap
+	x, r, p, ap := ws.x, ws.r, ws.p, ws.ap
+	z := ap // dead once r is updated (see Workspace)
 	copy(r, b)
 	bNorm := math.Sqrt(dot(r, r))
 	if bNorm == 0 {
@@ -694,7 +733,7 @@ func (s *SparseMatrix) SolveMGW(ws *Workspace, pre Preconditioner, b []float64, 
 		// r = b − A·x₀ for the interpolated start. Convergence still tests
 		// against ‖b‖, so the tolerance is unchanged — the start only moves
 		// the iteration closer to it.
-		s.MulVec(x, ap)
+		a.MulVec(x, ap)
 		for i := range r {
 			r[i] = b[i] - ap[i]
 		}
@@ -707,7 +746,7 @@ func (s *SparseMatrix) SolveMGW(ws *Workspace, pre Preconditioner, b []float64, 
 	}
 	rNorm := math.Sqrt(dot(r, r))
 	for iter := 1; iter <= maxIter; iter++ {
-		s.MulVec(p, ap)
+		a.MulVec(p, ap)
 		pAp := dot(p, ap)
 		if !(pAp > 0) {
 			return nil, iter, fmt.Errorf("mathx: MG-PCG: curvature pᵀAp = %g at iteration %d: %w", pAp, iter, ErrNotSPD)

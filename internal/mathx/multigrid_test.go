@@ -7,15 +7,32 @@ import (
 )
 
 // buildMesh assembles the pinned-center n×n 5-point mesh system (reflective
-// boundaries, uniform edge conductance g) exactly as powergrid.Mesh does,
-// with a deterministic randomized RHS, and the matching MeshMG hierarchy.
+// boundaries, uniform edge conductance g) as a CSR matrix, with a
+// deterministic randomized RHS, and the matching MeshMG hierarchy.
 func buildMesh(t testing.TB, n int, g float64, seed int64) (*SparseMatrix, *MeshMG, []float64) {
 	t.Helper()
 	center := (n/2)*n + n/2
+	m, b := assembleMesh(n, center, g, seed)
+	h, err := NewMeshHierarchy(n, center)
+	if err != nil {
+		t.Fatalf("NewMeshHierarchy(%d): %v", n, err)
+	}
+	mg := NewMeshMG(h)
+	if err := mg.SetConductance(g); err != nil {
+		t.Fatal(err)
+	}
+	return m, mg, b
+}
+
+// assembleMesh is the reference assembly of the n×n mesh pinned at pin:
+// per node, neighbours in up, down, left, right order, out-of-range ones
+// skipped, −g per in-range unpinned neighbour and the diagonal accumulated
+// by repeated += g. It is the oracle MeshOperator must match bit for bit.
+func assembleMesh(n, pin int, g float64, seed int64) (*SparseMatrix, []float64) {
 	idx := make([]int, n*n)
 	cnt := 0
 	for i := range idx {
-		if i == center {
+		if i == pin {
 			idx[i] = -1
 			continue
 		}
@@ -48,14 +65,7 @@ func buildMesh(t testing.TB, n int, g float64, seed int64) (*SparseMatrix, *Mesh
 		}
 	}
 	m.Freeze()
-	mg, err := NewMeshMG(n, center)
-	if err != nil {
-		t.Fatalf("NewMeshMG(%d): %v", n, err)
-	}
-	if err := mg.SetConductance(g); err != nil {
-		t.Fatal(err)
-	}
-	return m, mg, b
+	return m, b
 }
 
 func maxRelDiff(a, b []float64) float64 {
@@ -89,7 +99,7 @@ func TestMGAgreesWithCGAndDense(t *testing.T) {
 			t.Fatalf("n=%d: CG: %v", n, err)
 		}
 		var ws Workspace
-		xmg, _, err := m.SolveMGW(&ws, mg, b, 1e-12, 200)
+		xmg, _, err := SolveMGW(m, &ws, mg, b, 1e-12, 200)
 		if err != nil {
 			t.Fatalf("n=%d: MG-PCG: %v", n, err)
 		}
@@ -139,7 +149,7 @@ func TestMGIterationCountsStayFlat(t *testing.T) {
 	prevCG := 0
 	for _, n := range sizes {
 		m, mg, b := buildMesh(t, n, 1.0, 42)
-		_, itMG, err := m.SolveMGW(&ws, mg, b, 1e-10, 200)
+		_, itMG, err := SolveMGW(m, &ws, mg, b, 1e-10, 200)
 		if err != nil {
 			t.Fatalf("n=%d: MG-PCG: %v", n, err)
 		}
@@ -208,24 +218,59 @@ func TestFrozenMulVecBitIdentical(t *testing.T) {
 	}
 }
 
-// TestNewFrozenCSRValidates rejects inconsistent CSR shapes.
-func TestNewFrozenCSRValidates(t *testing.T) {
-	if _, err := NewFrozenCSR(2, []int32{0, 1}, []int32{1}, []float64{-1}, []float64{1, 1}); err == nil {
-		t.Error("short rowPtr accepted")
+// TestNewMeshOperatorValidates rejects grids too small to stencil, pins
+// outside the grid and non-positive conductances.
+func TestNewMeshOperatorValidates(t *testing.T) {
+	for _, tc := range []struct{ n, pin int }{{2, 0}, {5, -1}, {5, 25}} {
+		if _, err := NewMeshOperator(tc.n, tc.pin); err == nil {
+			t.Errorf("NewMeshOperator(%d, %d) accepted", tc.n, tc.pin)
+		}
 	}
-	if _, err := NewFrozenCSR(2, []int32{0, 1, 2}, []int32{1}, []float64{-1}, []float64{1, 1}); err == nil {
-		t.Error("nnz mismatch accepted")
-	}
-	m, err := NewFrozenCSR(2, []int32{0, 1, 2}, []int32{1, 0}, []float64{-1, -1}, []float64{2, 2})
+	a, err := NewMeshOperator(5, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Frozen() {
-		t.Error("NewFrozenCSR matrix not frozen")
+	for _, g := range []float64{0, -1, math.NaN()} {
+		if err := a.SetConductance(g); err == nil {
+			t.Errorf("SetConductance(%g) accepted", g)
+		}
 	}
-	y := make([]float64, 2)
-	m.MulVec([]float64{1, 2}, y)
-	if y[0] != 0 || y[1] != 3 {
-		t.Errorf("frozen CSR MulVec wrong: %v", y)
+	if a.Dim() != 24 {
+		t.Errorf("Dim = %d, want 24", a.Dim())
+	}
+}
+
+// TestMeshOperatorMatchesCSR is the stencil's oracle: for every grid size
+// the power grid solves, several conductances, and pins at the center, a
+// corner and an edge, MeshOperator.MulVec must equal the assembled CSR
+// product bit for bit — which is what keeps Mesh.Solve's drops, and so the
+// golden reports, unchanged.
+func TestMeshOperatorMatchesCSR(t *testing.T) {
+	for _, n := range []int{5, 7, 41, 129, 255, 257} {
+		pins := []int{(n/2)*n + n/2, 0, n*n - 1, n + n/2, (n-2)*n + 1}
+		for pi, pin := range pins {
+			for gi, g := range []float64{1, 0.3, 1 / 0.0717, 2.5e4} {
+				m, x := assembleMesh(n, pin, g, int64(n*100+pi*10+gi))
+				for i := range x {
+					x[i] = x[i]*1e4 - 1 // mixed signs
+				}
+				a, err := NewMeshOperator(n, pin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := a.SetConductance(g); err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, m.N)
+				got := make([]float64, a.Dim())
+				m.MulVec(x, want)
+				a.MulVec(x, got)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d pin=%d g=%g: row %d stencil %v, CSR %v", n, pin, g, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -19,7 +19,7 @@ func TestSmoothersAgreeWithCG(t *testing.T) {
 			t.Fatalf("n=%d: CG: %v", n, err)
 		}
 		var ws Workspace
-		x, iters, err := m.SolveMGW(&ws, mg, b, 1e-11, 20*cnt)
+		x, iters, err := SolveMGW(m, &ws, mg, b, 1e-11, 20*cnt)
 		if err != nil {
 			t.Fatalf("n=%d: MG-PCG: %v", n, err)
 		}
@@ -92,13 +92,13 @@ func TestFMGStartSavesIterations(t *testing.T) {
 		m, mg, b := buildMesh(t, n, 3.0, int64(200+n))
 		cnt := m.N
 		var ws, wsRef Workspace
-		x, withFMG, err := m.SolveMGW(&ws, mg, b, 1e-10, 20*cnt)
+		x, withFMG, err := SolveMGW(m, &ws, mg, b, 1e-10, 20*cnt)
 		if err != nil {
 			t.Fatalf("n=%d FMG: %v", n, err)
 		}
 		got := append([]float64(nil), x...)
 		mg.SetFMG(false)
-		ref, without, err := m.SolveMGW(&wsRef, mg, b, 1e-10, 20*cnt)
+		ref, without, err := SolveMGW(m, &wsRef, mg, b, 1e-10, 20*cnt)
 		if err != nil {
 			t.Fatalf("n=%d no-FMG: %v", n, err)
 		}
@@ -122,7 +122,7 @@ func TestFMGStartQuality(t *testing.T) {
 		t.Fatal("FMGStart reported disabled on a default MeshMG")
 	}
 	var ws Workspace
-	ref, _, err := m.SolveMGW(&ws, mg, b, 1e-12, 20*m.N)
+	ref, _, err := SolveMGW(m, &ws, mg, b, 1e-12, 20*m.N)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,38 +71,34 @@ func NewMesh(s GridSpec, railWidthM, railPitchM float64, n int) (*Mesh, error) {
 // the net. The same drop occurs on the ground net, so the supply-loop drop
 // is twice the returned value.
 func (m *Mesh) Solve() (maxDropV float64, err error) {
-	// The sparsity pattern depends only on the grid dimension; the cached
-	// assembly is refilled for this mesh's conductance and wrapped as a
-	// frozen CSR without copying (assemblyFor documents the bit-identity
-	// contract with the original in-line assembly).
-	asm := assemblyFor(m.N)
-	sv, err := asm.solver()
+	sv, err := acquireSolver(m.N)
 	if err != nil {
 		return 0, err
 	}
-	defer asm.release(sv)
+	defer releaseSolver(sv)
 	g := 1 / m.EdgeOhms
-	sv.refill(asm, g, m.NodeCurrentA)
-	mat, err := mathx.NewFrozenCSR(asm.cnt, asm.rowPtr, asm.cols, sv.vals, sv.diag)
-	if err != nil {
-		return 0, fmt.Errorf("powergrid: mesh assembly: %w", err)
+	if err := sv.op.SetConductance(g); err != nil {
+		return 0, fmt.Errorf("powergrid: mesh solve: %w", err)
 	}
 	if err := sv.mg.SetConductance(g); err != nil {
 		return 0, fmt.Errorf("powergrid: mesh solve: %w", err)
+	}
+	for i := range sv.rhs {
+		sv.rhs[i] = m.NodeCurrentA
 	}
 	// Multigrid-preconditioned CG: plain CG needs O(n) iterations on the
 	// mesh Laplacian (and Jacobi buys nothing — the diagonal is
 	// near-constant), while one geometric V-cycle per iteration holds the
 	// count near-constant as the grid refines (BenchmarkMeshSolve; the
 	// mathx iteration-count test pins ≤ 25 through n = 255). The solution
-	// aliases the pooled workspace, so the max-drop reduction below must
-	// happen before the solver is pooled.
+	// aliases the solver's workspace, so the max-drop reduction below must
+	// happen before the solver is released.
 	// Cancellation granularity is deliberately per-artifact: the runner and
 	// jobs layers check ctx between computes, and a single mesh solve is
 	// bounded (≤ 25 MG-CG iterations by the mathx pin), so threading ctx
 	// into the kernel would buy nothing but signature churn.
 	//lint:allow ctxflow solver kernel; cancellation is per-artifact upstream
-	sol, iters, err := mat.SolveMGW(&sv.ws, sv.mg, sv.rhs, 1e-10, 20*asm.cnt)
+	sol, iters, err := mathx.SolveMGW(sv.op, &sv.ws, sv.mg, sv.rhs, 1e-10, 20*len(sv.rhs))
 	if err != nil {
 		return 0, fmt.Errorf("powergrid: mesh solve: %w", err)
 	}
@@ -178,29 +174,7 @@ func NewLadder(s GridSpec, railWidthM float64, n int) (*Ladder, error) {
 
 // Solve returns the peak drop along the span (both ends grounded).
 func (l *Ladder) Solve() (float64, error) {
-	// Interior nodes 1..N-1; tridiagonal system solved directly.
-	n := l.N - 1
-	if n < 1 {
-		return 0, fmt.Errorf("powergrid: ladder too short")
-	}
-	g := 1 / l.SegOhms
-	a := make([][]float64, n)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i] = make([]float64, n)
-		a[i][i] = 2 * g
-		if i > 0 {
-			a[i][i-1] = -g
-		}
-		if i < n-1 {
-			a[i][i+1] = -g
-		}
-		b[i] = l.TapCurrentA
-	}
-	// Tridiagonal n≤1024 system solved in microseconds; see Mesh.Solve for
-	// the per-artifact cancellation-granularity decision.
-	//lint:allow ctxflow bounded analytic ladder solve; cancel is upstream
-	v, err := mathx.SolveDense(a, b)
+	v, err := l.drops()
 	if err != nil {
 		return 0, err
 	}
@@ -211,6 +185,45 @@ func (l *Ladder) Solve() (float64, error) {
 		}
 	}
 	return peak, nil
+}
+
+// drops solves the interior nodes 1..N−1 of the ladder — the tridiagonal
+// system 2g on the diagonal, −g beside it, TapCurrentA on the right — in
+// O(N) time and memory. It performs exactly the floating-point operations
+// mathx.SolveDense performs on the dense form, in the same order, so the
+// drops are bit-identical to it: SolveDense's partial pivot never swaps
+// (each eliminated diagonal stays above g, the only other candidate), the
+// only nonzero factor at column i is row i+1's, and the entries it skips
+// are zeros that cannot change a sum.
+func (l *Ladder) drops() ([]float64, error) {
+	n := l.N - 1
+	if n < 1 {
+		return nil, fmt.Errorf("powergrid: ladder too short")
+	}
+	g := 1 / l.SegOhms
+	off := -g
+	d := make([]float64, n) // eliminated diagonal
+	x := make([]float64, n) // right-hand side, then solution
+	for i := range d {
+		d[i] = 2 * g
+		x[i] = l.TapCurrentA
+	}
+	for i := 0; i < n; i++ {
+		if d[i] == 0 {
+			return nil, fmt.Errorf("powergrid: singular ladder at node %d (segment resistance %g)", i+1, l.SegOhms)
+		}
+		if i+1 < n {
+			if f := off * (1 / d[i]); f != 0 {
+				d[i+1] -= f * off
+				x[i+1] -= f * x[i]
+			}
+		}
+	}
+	x[n-1] /= d[n-1]
+	for i := n - 2; i >= 0; i-- {
+		x[i] = (x[i] - off*x[i+1]) / d[i]
+	}
+	return x, nil
 }
 
 // ValidateAnalytic solves the 1-D ladder for a sized grid and returns the

@@ -3,10 +3,12 @@ package powergrid
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"nanometer/internal/itrs"
+	"nanometer/internal/mathx"
 	"nanometer/internal/units"
 )
 
@@ -158,13 +160,13 @@ func TestMeshErrors(t *testing.T) {
 
 // TestAssemblyCacheBounded: solving at many distinct mesh sizes (the shape
 // of a hostile mesh-n scan through the daemon) must not accumulate one
-// O(n²) pattern per size forever.
+// O(n²) multigrid hierarchy per size forever.
 func TestAssemblyCacheBounded(t *testing.T) {
 	sz, err := spec35(80e-6).SizeRails()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 5; n <= 5+2*(3*maxCachedAssemblies); n += 2 {
+	for n := 5; n <= 5+2*(3*maxCachedHierarchies); n += 2 {
 		m, err := NewMesh(spec35(80e-6), sz.RailWidthM, 80e-6, n)
 		if err != nil {
 			t.Fatal(err)
@@ -174,18 +176,18 @@ func TestAssemblyCacheBounded(t *testing.T) {
 		}
 	}
 	count := 0
-	meshAssemblies.Range(func(_, _ any) bool { count++; return true })
+	meshHierarchies.Range(func(_, _ any) bool { count++; return true })
 	// Transient over-admission by racing inserts is tolerated; unbounded
 	// growth is not.
-	if count > maxCachedAssemblies+1 {
-		t.Fatalf("%d assemblies cached, bound is %d", count, maxCachedAssemblies)
+	if count > maxCachedHierarchies+1 {
+		t.Fatalf("%d hierarchies cached, bound is %d", count, maxCachedHierarchies)
 	}
 }
 
-// TestSolverSurvivesGC: the last released solver stays in the spare slot,
-// so solves of one mesh size separated by garbage collections (which
-// empty a sync.Pool) reuse it instead of rebuilding the multigrid
-// hierarchy and workspace — dozens of allocations at any size.
+// TestSolverSurvivesGC: released solvers stay on the free list, so solves
+// of one mesh size separated by garbage collections reuse one instead of
+// rebuilding the multigrid levels and workspace — dozens of allocations at
+// any size.
 func TestSolverSurvivesGC(t *testing.T) {
 	sz, err := spec35(80e-6).SizeRails()
 	if err != nil {
@@ -206,7 +208,185 @@ func TestSolverSurvivesGC(t *testing.T) {
 		}
 	})
 	if allocs > 2 {
-		t.Fatalf("solve after two GCs allocates %.0f objects, want the spare solver reused (≤ 2)", allocs)
+		t.Fatalf("solve after two GCs allocates %.0f objects, want a free-list solver reused (≤ 2)", allocs)
+	}
+}
+
+// TestMeshSolveBitsPinned pins Mesh.Solve's drops, bit for bit, to the
+// values the assembled-CSR solver produced before the matrix-free stencil
+// replaced it, on both grid specs of the c8 claim family and every mesh
+// size the oracle test of the stencil covers.
+func TestMeshSolveBitsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		pitch, hotspot float64
+		n              int
+		bits           uint64
+	}{
+		{80e-6, 4, 5, 0x3fb147ae147ae148},
+		{80e-6, 4, 7, 0x3fb14be18ae57b24},
+		{80e-6, 4, 41, 0x3fb66e180a3107e3},
+		{80e-6, 4, 129, 0x3fbb604bc8750a7d},
+		{80e-6, 4, 255, 0x3fbe862941d56e5d},
+		{80e-6, 4, 257, 0x3fbe8f8994312cb1},
+		{120e-6, 2, 5, 0x3fb147ae147ae14d},
+		{120e-6, 2, 7, 0x3fb14be18ae57b22},
+		{120e-6, 2, 41, 0x3fb66e180a310830},
+		{120e-6, 2, 129, 0x3fbb604bc8750cbe},
+		{120e-6, 2, 255, 0x3fbe862941d56fc3},
+		{120e-6, 2, 257, 0x3fbe8f8994312bc9},
+	} {
+		if tc.n > 129 && testing.Short() {
+			continue
+		}
+		s := spec35(tc.pitch)
+		s.HotspotFactor = tc.hotspot
+		m, err := PessimisticMesh(s, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drop, err := m.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(drop); got != tc.bits {
+			t.Errorf("pitch %g hotspot %g n %d: drop %v (%#x), want %v (%#x)", tc.pitch, tc.hotspot, tc.n, drop, got, math.Float64frombits(tc.bits), tc.bits)
+		}
+	}
+}
+
+// TestLadderMatchesSolveDense is the O(N) ladder solve's oracle: the whole
+// drop vector must equal mathx.SolveDense on the dense tridiagonal system,
+// element for element, across sizes and segment resistances.
+func TestLadderMatchesSolveDense(t *testing.T) {
+	for _, n := range []int{4, 5, 17, 256, 1024} {
+		for _, seg := range []float64{1e-3, 0.0717, 1, 3.3e2, 7e5} {
+			l := &Ladder{N: n, SegOhms: seg, TapCurrentA: 0.0123}
+			got, err := l.drops()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := n - 1
+			g := 1 / seg
+			a := make([][]float64, m)
+			b := make([]float64, m)
+			for i := range a {
+				a[i] = make([]float64, m)
+				a[i][i] = 2 * g
+				if i > 0 {
+					a[i][i-1] = -g
+				}
+				if i < m-1 {
+					a[i][i+1] = -g
+				}
+				b[i] = l.TapCurrentA
+			}
+			want, err := mathx.SolveDense(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("N=%d seg=%g: node %d drop %v, dense %v", n, seg, i+1, got[i], want[i])
+				}
+			}
+		}
+	}
+	if _, err := (&Ladder{N: 1, SegOhms: 1}).drops(); err == nil {
+		t.Error("a one-segment ladder has no interior node; want an error")
+	}
+	if _, err := (&Ladder{N: 8, SegOhms: math.Inf(1)}).drops(); err == nil {
+		t.Error("infinite segment resistance must be singular")
+	}
+}
+
+// TestSolverFreeListBounded: the free list retains at most GOMAXPROCS
+// solvers whatever sizes are released into it, and a second round of
+// GOMAXPROCS concurrent solvers of one size is served entirely from the
+// solvers the first round released — the same objects, none built.
+func TestSolverFreeListBounded(t *testing.T) {
+	solvers.mu.Lock()
+	solvers.free = nil
+	solvers.mu.Unlock()
+	width := runtime.GOMAXPROCS(0)
+	for n := 5; n < 5+2*(width+3); n += 2 {
+		sv, err := acquireSolver(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		releaseSolver(sv)
+	}
+	solvers.mu.Lock()
+	held := len(solvers.free)
+	solvers.mu.Unlock()
+	if held > width {
+		t.Fatalf("free list holds %d solvers, bound is GOMAXPROCS = %d", held, width)
+	}
+	round := func() map[*meshSolver]bool {
+		held := make([]*meshSolver, width)
+		for i := range held {
+			sv, err := acquireSolver(41)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[i] = sv
+		}
+		set := map[*meshSolver]bool{}
+		for _, sv := range held {
+			set[sv] = true
+			releaseSolver(sv)
+		}
+		return set
+	}
+	first, second := round(), round()
+	for sv := range second {
+		if !first[sv] {
+			t.Fatalf("second round of %d concurrent solvers built a new one", width)
+		}
+	}
+}
+
+// TestConcurrentDistinctMeshSolves: distinct meshes solved side by side
+// (the shape of a max_power sweep on several workers) each return the bits
+// a serial solve of the same mesh returns.
+func TestConcurrentDistinctMeshSolves(t *testing.T) {
+	var meshes []*Mesh
+	for i := 0; i < 6; i++ {
+		s := spec35(80e-6)
+		s.HotspotFactor = 2 + 0.5*float64(i)
+		m, err := PessimisticMesh(s, 31+2*(i%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meshes = append(meshes, m)
+	}
+	want := make([]float64, len(meshes))
+	for i, m := range meshes {
+		d, err := m.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = d
+	}
+	got := make([]float64, len(meshes))
+	var wg sync.WaitGroup
+	for round := 0; round < 3; round++ {
+		for i, m := range meshes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d, err := m.Solve()
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = d
+			}()
+		}
+		wg.Wait()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("round %d mesh %d: concurrent drop %v, serial %v", round, i, got[i], want[i])
+			}
+		}
 	}
 }
 

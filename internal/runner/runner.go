@@ -14,6 +14,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Job is one independent unit of work. Run writes the job's complete output
@@ -71,7 +72,9 @@ func (p Pool) RunTo(sink io.Writer, jobs []Job) ([]Result, error) {
 // ctx is canceled are skipped and record ctx's error instead of running.
 // Jobs already executing run to completion (they hold gate/pool resources
 // that must wind down normally), so a canceled run still returns one Result
-// per job in submission order.
+// per job in submission order. Jobs start in submission order — each
+// worker claims the next unclaimed job — so the first results, the ones
+// the sink is waiting for, are the first to be computed.
 func (p Pool) RunToContext(ctx context.Context, sink io.Writer, jobs []Job) ([]Result, error) {
 	n := len(jobs)
 	results := make([]Result, n)
@@ -80,31 +83,27 @@ func (p Pool) RunToContext(ctx context.Context, sink io.Writer, jobs []Job) ([]R
 		done[i] = make(chan struct{})
 	}
 
-	sem := make(chan struct{}, p.workers())
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := range jobs {
+	for w := min(p.workers(), n); w > 0; w-- {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			defer close(done[i])
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				results[i] = Result{ID: jobs[i].ID, Err: ctx.Err()}
-				return
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					results[i] = Result{ID: jobs[i].ID, Err: err}
+				} else {
+					var buf bytes.Buffer
+					err := runJob(jobs[i], &buf)
+					results[i] = Result{ID: jobs[i].ID, Output: buf.Bytes(), Err: err}
+				}
+				close(done[i])
 			}
-			defer func() { <-sem }()
-			// A cancel that lands between acquiring the slot and starting
-			// the job also skips it: the slot was free, but the work is
-			// unwanted.
-			if err := ctx.Err(); err != nil {
-				results[i] = Result{ID: jobs[i].ID, Err: err}
-				return
-			}
-			var buf bytes.Buffer
-			err := runJob(jobs[i], &buf)
-			results[i] = Result{ID: jobs[i].ID, Output: buf.Bytes(), Err: err}
-		}(i)
+		}()
 	}
 
 	var sinkErr error

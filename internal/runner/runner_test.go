@@ -140,3 +140,31 @@ func TestSinkErrorReported(t *testing.T) {
 		t.Fatalf("sink failure not reported: %v", err)
 	}
 }
+
+// TestJobsStartInSubmissionOrder: the first Workers jobs to start are the
+// first Workers submitted, so ordered emission is never stuck behind a
+// late job that happened to be scheduled early.
+func TestJobsStartInSubmissionOrder(t *testing.T) {
+	const workers, n = 2, 16
+	started := make(chan int, n)
+	release := make(chan struct{})
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = Job{ID: fmt.Sprintf("j%d", i), Run: func(io.Writer) error {
+			started <- i
+			<-release
+			return nil
+		}}
+	}
+	finished := make(chan struct{})
+	go func() {
+		Pool{Workers: workers}.Run(jobs)
+		close(finished)
+	}()
+	first := map[int]bool{<-started: true, <-started: true}
+	close(release)
+	<-finished
+	if !first[0] || !first[1] {
+		t.Fatalf("first jobs started were %v, want 0 and 1", first)
+	}
+}

@@ -61,8 +61,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := j.Snapshot()
 	w.Header().Set("Location", "/api/v1/jobs/"+j.ID)
+	// Only a store hit is 200: a queued job that finishes before this
+	// snapshot is still one this request submitted.
 	code := http.StatusAccepted
-	if snap.State.Terminal() {
+	if snap.Cached {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, snap)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -400,5 +401,80 @@ func TestJobsQueueFull(t *testing.T) {
 		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
 		}
+	}
+}
+
+// TestJobSubmitAnswers202WithoutStore: with no result store, every submit
+// queues a new job and answers 202 — even a tiny trace that finishes
+// before the response is written is not a store hit. Several clients
+// submit at once, so some jobs do finish inside that window.
+func TestJobSubmitAnswers202WithoutStore(t *testing.T) {
+	srv := New(Config{JobWorkers: 2})
+	defer srv.Close()
+	const tiny = `{"name":"tiny","dt_seconds":0.01,"generator":{"kind":"workload","intervals":1}}`
+	const clients, submits = 8, 400
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < submits; i++ {
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/jobs", strings.NewReader(tiny)))
+				if rec.Code != http.StatusAccepted {
+					t.Errorf("submit = %d, want 202 (%s)", rec.Code, rec.Body.String())
+					return
+				}
+				var snap jobs.Snapshot
+				if err := json.NewDecoder(rec.Body).Decode(&snap); err != nil {
+					t.Error(err)
+					return
+				}
+				if j, ok := srv.jobq.Get(snap.ID); ok {
+					<-j.Done()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestJobStreamFlushesProgress: over a real connection, a follow-stream
+// delivers its first progress line while the job is still early in its
+// run, not once the server's write buffer (several lines) has filled.
+func TestJobStreamFlushesProgress(t *testing.T) {
+	srv := New(Config{JobWorkers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	const maxTrace = `{"name":"e2e-max","dt_seconds":0.01,"generator":{"kind":"workload","intervals":200000000}}`
+	resp := postTrace(t, ts.URL, maxTrace)
+	snap := decodeSnapshot(t, resp.Body)
+	resp.Body.Close()
+	defer srv.jobq.Cancel(snap.ID)
+	j, ok := srv.jobq.Get(snap.ID)
+	if !ok {
+		t.Fatalf("job %s not retained", snap.ID)
+	}
+	stream, err := http.Get(ts.URL + "/api/v1/jobs/" + snap.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	line, err := bufio.NewReader(stream.Body).ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, _, terminal := j.Chunks(0)
+	var p struct {
+		Done, Total int
+	}
+	if err := json.Unmarshal(line, &p); err != nil || p.Done <= 0 || p.Done >= p.Total {
+		t.Fatalf("first stream line %s (%v), want partial progress", line, err)
+	}
+	// Unflushed, ~250-byte lines reach the client only once about 4 KB
+	// (16 lines) are buffered.
+	if terminal || len(chunks) >= 8 {
+		t.Fatalf("first progress line arrived after %d chunks (terminal %v), want it flushed at once", len(chunks), terminal)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
@@ -79,10 +80,11 @@ type variantLine struct {
 
 // handleScenarios is POST /api/v1/scenarios: the body is one scenario
 // document (same schema as the CLI's -scenario files), validated by the
-// strict scenario.Parse; a sweep expands into its grid. Every variant is
-// priced and admitted through the weighted FIFO gate independently — the
-// grid fans onto the compute pool as capacity allows — and results stream
-// back as NDJSON in grid order regardless of completion order.
+// strict scenario.Parse; a sweep expands into its grid. The whole sweep is
+// priced as the sum of its variants and admitted through the weighted FIFO
+// gate once; its variant × artifact computes then run variant-major on one
+// Jobs-wide pool, and each variant's NDJSON line streams back, in grid
+// order, as soon as that variant's artifacts are done.
 //
 // Scenario computes never consult peer replicas: the internal result
 // exchange carries only mesh-n, so a peer could not reconstruct the
@@ -133,33 +135,31 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	type outcome struct {
-		results []*result.Result
-		err     error
+	release := s.admit(ctx, w, int64(len(variants))*int64(len(arts))*weight(meshN))
+	if release == nil {
+		return
 	}
-	chans := make([]chan outcome, len(variants))
-	wt := int64(len(arts)) * weight(meshN)
-	for i, v := range variants {
-		ch := make(chan outcome, 1)
-		chans[i] = ch
-		go func(v *scenario.Scenario) {
-			release, aerr := s.gate.Acquire(ctx, wt)
-			if aerr != nil {
-				s.met.rejected.Inc()
-				ch <- outcome{err: fmt.Errorf("admission gate wait canceled: %w", aerr)}
-				return
-			}
-			defer release()
-			s.met.scenarioComputes.With(s.scenarioLabel(v.Name)).Inc()
-			opts := repro.Options{MeshN: meshN, Scenario: v}
-			// ctx carries both the request deadline and the client
-			// disconnect: a hung-up stream stops fanning new artifact
-			// computes onto the pool instead of running the grid to
-			// completion while holding gate weight.
-			results, cerr := repro.ComputeAllCtx(ctx, runner.Pool{Workers: s.jobs}, arts, opts)
-			ch <- outcome{results, cerr}
-		}(v)
+	runs := make([]*variantRun, len(variants))
+	jobs := make([]runner.Job, 0, len(variants)*len(arts))
+	for vi, v := range variants {
+		s.met.scenarioComputes.With(s.scenarioLabel(v.Name)).Inc()
+		vr := newVariantRun(len(arts))
+		runs[vi] = vr
+		opts := repro.Options{MeshN: meshN, Scenario: v}
+		for ai, a := range arts {
+			jobs = append(jobs, runner.Job{ID: a.ID + "@" + v.Name, Run: func(io.Writer) error {
+				return vr.compute(ai, a, opts)
+			}})
+		}
 	}
+	// The pool run owns the gate units until the last compute returns,
+	// even after the handler stops waiting: the gate bounds real solver
+	// concurrency. ctx carries both the request deadline and the client
+	// disconnect, so a hung-up stream stops starting new computes.
+	go func() {
+		defer release()
+		runner.Pool{Workers: s.jobs}.RunToContext(ctx, nil, jobs)
+	}()
 
 	// Stream in grid order. The header commits before the first variant
 	// finishes, so failures from here on are typed lines, not status codes.
@@ -170,33 +170,80 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	timedOut := false
 	for i, v := range variants {
 		line := variantLine{Scenario: v.Name, Key: v.Key()}
-		if timedOut {
-			line.Error = "request deadline exceeded before this variant was collected"
-		} else {
+		if !timedOut {
 			select {
-			case out := <-chans[i]:
-				for _, res := range out.results {
-					if res != nil {
-						line.Artifacts = append(line.Artifacts, res)
-					}
-				}
-				if out.err != nil {
-					line.Error = out.err.Error()
-				}
+			case <-runs[i].done:
+				line.Artifacts, line.Error = runs[i].outcome()
 			case <-ctx.Done():
 				// Stop waiting but keep emitting one line per variant so the
 				// stream stays parseable and complete. The abandoned computes
-				// finish into the cache and release their gate units.
+				// finish into the cache before the gate units are released.
 				s.met.timeouts.Inc()
 				timedOut = true
-				line.Error = "request deadline exceeded before this variant was collected"
 			}
 		}
+		if timedOut {
+			line.Error = "request deadline exceeded before this variant was collected"
+		}
 		if err := enc.Encode(line); err != nil {
-			return // client hung up; goroutines drain via their buffered channels
+			return // client hung up; the pool run drains on ctx
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+}
+
+// variantRun collects one sweep variant's artifact results as the pool
+// computes them; done closes when the last of them has settled.
+type variantRun struct {
+	results []*result.Result // by artifact, nil where the compute failed
+	errs    []error          // by artifact
+	left    atomic.Int64
+	done    chan struct{}
+}
+
+func newVariantRun(arts int) *variantRun {
+	vr := &variantRun{results: make([]*result.Result, arts), errs: make([]error, arts), done: make(chan struct{})}
+	vr.left.Store(int64(arts))
+	if arts == 0 {
+		close(vr.done)
+	}
+	return vr
+}
+
+// compute runs artifact ai for this variant and settles its slot. The
+// panic error stands unless the compute returns, so a panicking artifact
+// (the runner recovers it) still settles the variant with an error.
+func (vr *variantRun) compute(ai int, a repro.Artifact, opts repro.Options) error {
+	vr.errs[ai] = fmt.Errorf("%s: compute panicked", a.ID)
+	defer func() {
+		if vr.left.Add(-1) == 0 {
+			close(vr.done)
+		}
+	}()
+	// One artifact compute is the cancellation unit: the pool checks the
+	// request context before starting each job.
+	//lint:allow ctxflow per-artifact granularity; the pool checks ctx per job
+	res, err := a.ComputeCached(opts)
+	vr.results[ai], vr.errs[ai] = res, nil
+	if err != nil {
+		vr.errs[ai] = fmt.Errorf("%s: %w", a.ID, err)
+	}
+	return err
+}
+
+// outcome returns the computed results in artifact order and the joined
+// failures; call only after done has closed.
+func (vr *variantRun) outcome() ([]*result.Result, string) {
+	var out []*result.Result
+	for _, res := range vr.results {
+		if res != nil {
+			out = append(out, res)
+		}
+	}
+	if err := errors.Join(vr.errs...); err != nil {
+		return out, err.Error()
+	}
+	return out, ""
 }

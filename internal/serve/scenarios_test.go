@@ -3,19 +3,24 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nanometer/internal/repro"
+	"nanometer/internal/result"
 )
 
 func postScenario(t *testing.T, s *Server, target, body string) *httptest.ResponseRecorder {
@@ -331,4 +336,185 @@ func grepLines(s, sub string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestScenariosSweepOneAdmissionJobsWide: a sweep is admitted once and its
+// variant × artifact computes run on one Jobs-wide pool, variant-major —
+// with Jobs 2 exactly two computes run at once, the first two to start
+// are variant 0's, and every gate unit is back once the stream ends.
+func TestScenariosSweepOneAdmissionJobsWide(t *testing.T) {
+	repro.ResetCache()
+	defer repro.ResetCache()
+	var (
+		mu             sync.Mutex
+		started        []string
+		inFlight, peak int
+		release        = make(chan struct{})
+		twoStarted     = make(chan struct{})
+		twoStartedOnce sync.Once
+	)
+	art := func(id string) repro.Artifact {
+		return repro.Artifact{ID: id, Title: id, Compute: func(opts repro.Options) (*result.Result, error) {
+			mu.Lock()
+			started = append(started, opts.Scenario.Name)
+			inFlight++
+			peak = max(peak, inFlight)
+			if len(started) == 2 {
+				twoStartedOnce.Do(func() { close(twoStarted) })
+			}
+			mu.Unlock()
+			<-release
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+			r := &result.Result{}
+			r.AddTable(&result.Table{Title: id, Headers: []string{"h"}, Rows: [][]string{{"v"}}})
+			return r, nil
+		}}
+	}
+	srv := New(Config{Artifacts: []repro.Artifact{art("jw1"), art("jw2")}, Jobs: 2})
+	body := `{"name":"wide","sweep":{"param":"vdd","steps":9,"span_pct":20,"nodes":[70]}}`
+	done := make(chan *httptest.ResponseRecorder)
+	go func() { done <- postScenario(t, srv, "/api/v1/scenarios", body) }()
+	select {
+	case <-twoStarted:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("the sweep never had two computes running")
+	}
+	mu.Lock()
+	first := append([]string(nil), started[:2]...)
+	mu.Unlock()
+	close(release)
+	rec := <-done
+	if rec.Code != 200 {
+		t.Fatalf("POST = %d (%s)", rec.Code, rec.Body.String())
+	}
+	if lines := decodeLines(t, rec.Body); len(lines) != 9 {
+		t.Fatalf("got %d lines, want 9", len(lines))
+	}
+	want := "wide/vdd=0.800"
+	if first[0] != want || first[1] != want {
+		t.Errorf("first computes started for %v, want both artifacts of %s", first, want)
+	}
+	if peak != 2 {
+		t.Errorf("peak concurrent computes %d, want Jobs = 2", peak)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.gate.InFlight() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gate holds %d units after the sweep ended", srv.gate.InFlight())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestScenariosStreamFlushesEachLine: over a real connection, the first
+// variant's line is readable while a later variant's compute is still
+// blocked — each line is flushed as it is written, not held in the
+// server's buffer until the sweep ends.
+func TestScenariosStreamFlushesEachLine(t *testing.T) {
+	repro.ResetCache()
+	defer repro.ResetCache()
+	hold := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(hold) }) }
+	defer unblock()
+	first := "flush/vdd=0.800"
+	art := repro.Artifact{ID: "fl1", Title: "fl1", Compute: func(opts repro.Options) (*result.Result, error) {
+		if opts.Scenario.Name != first {
+			<-hold
+		}
+		r := &result.Result{}
+		r.AddTable(&result.Table{Title: "fl1", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
+		return r, nil
+	}}
+	srv := New(Config{Artifacts: []repro.Artifact{art}, Jobs: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body := `{"name":"flush","sweep":{"param":"vdd","steps":9,"span_pct":20,"nodes":[70]}}`
+	type read struct {
+		resp *http.Response
+		br   *bufio.Reader
+		line []byte
+		err  error
+	}
+	got := make(chan read, 1)
+	go func() {
+		// The status line and headers travel with the first flush, so the
+		// POST itself is inside the deadline below.
+		resp, err := http.Post(ts.URL+"/api/v1/scenarios", "application/json", strings.NewReader(body))
+		if err != nil {
+			got <- read{err: err}
+			return
+		}
+		br := bufio.NewReader(resp.Body)
+		b, err := br.ReadBytes('\n')
+		got <- read{resp, br, b, err}
+	}()
+	var r read
+	select {
+	case r = <-got:
+	case <-time.After(10 * time.Second):
+		unblock()
+		if r = <-got; r.resp != nil {
+			r.resp.Body.Close()
+		}
+		t.Fatal("first sweep line not delivered while later variants compute")
+	}
+	if r.resp != nil {
+		defer r.resp.Body.Close()
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	var line variantLine
+	if err := json.Unmarshal(r.line, &line); err != nil || line.Scenario != first || line.Error != "" {
+		t.Fatalf("first line %s (%v), want %s without error", r.line, err, first)
+	}
+	br := r.br
+	unblock()
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(rest, []byte("\n")); n != 8 {
+		t.Fatalf("%d more lines, want 8", n)
+	}
+}
+
+// TestScenariosAdmissionAndPanics: a sweep that cannot be admitted before
+// its deadline answers 503 with Retry-After (the header has not committed),
+// and an admitted sweep whose artifact panics still streams every line,
+// each carrying the failure in-band.
+func TestScenariosAdmissionAndPanics(t *testing.T) {
+	repro.ResetCache()
+	defer repro.ResetCache()
+	boom := repro.Artifact{ID: "boom", Title: "boom", Compute: func(repro.Options) (*result.Result, error) {
+		panic("kaboom")
+	}}
+	srv := New(Config{Artifacts: []repro.Artifact{boom}, GateUnits: 1, Timeout: 200 * time.Millisecond})
+	body := `{"name":"adm","sweep":{"param":"vdd","steps":3,"span_pct":20,"nodes":[70]}}`
+	release, err := srv.gate.Acquire(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := postScenario(t, srv, "/api/v1/scenarios", body)
+	release()
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "1" {
+		t.Fatalf("sweep behind a full gate = %d, Retry-After %q, want 503 and 1", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	rec = postScenario(t, srv, "/api/v1/scenarios", body)
+	if rec.Code != 200 {
+		t.Fatalf("POST = %d (%s)", rec.Code, rec.Body.String())
+	}
+	lines := decodeLines(t, rec.Body)
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3", len(lines))
+	}
+	for i, line := range lines {
+		if !strings.Contains(line.Error, "boom: compute panicked") || len(line.Artifacts) != 0 {
+			t.Errorf("line %d: error %q, %d artifacts; want the panic in-band", i, line.Error, len(line.Artifacts))
+		}
+	}
 }

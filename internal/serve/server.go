@@ -59,8 +59,8 @@ type Config struct {
 	// Timeout is the per-request compute budget (admission wait included).
 	// ≤ 0 selects 30 s.
 	Timeout time.Duration
-	// Jobs is the worker count for full-report requests; ≤ 0 selects
-	// GOMAXPROCS.
+	// Jobs is the worker count for full-report and scenario-sweep
+	// requests; ≤ 0 selects GOMAXPROCS.
 	Jobs int
 	// Store, when non-nil, is the disk-backed result store installed as
 	// the compute cache's second level (process-wide via
@@ -221,6 +221,10 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
+// statusRecorder wraps every response to record its status code. It
+// forwards Flush, so the NDJSON streams (sweep lines, job progress) reach
+// the client as they are written instead of when the handler returns, and
+// Unwrap exposes the underlying writer to http.ResponseController.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -230,6 +234,14 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)
 }
+
+func (r *statusRecorder) Flush() {
+	if f, ok := r.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // apiError answers a failed API request with a JSON body (the API speaks
 // JSON even when the requested representation was text or CSV). Validator
