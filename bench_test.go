@@ -332,13 +332,22 @@ func BenchmarkSTAFull(b *testing.B) {
 func BenchmarkSTAIncrementalEdit(b *testing.B) {
 	c := freshCircuit(b, 1.15)
 	inc := sta.NewIncremental(c)
+	seeds := make([]int, 0, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := &c.Gates[i%len(c.Gates)]
 		old := g.Size
 		g.Size = old * 0.99
-		if !inc.TryUpdate(g.ID) {
+		// Shrinking g also lightens the load on its gate fanins, so they
+		// are seeded too, as the sizing loops do.
+		seeds = append(seeds[:0], g.ID)
+		for _, ref := range g.Inputs {
+			if _, isPI := netlist.IsPI(ref); !isPI {
+				seeds = append(seeds, ref)
+			}
+		}
+		if !inc.TryUpdate(seeds...) {
 			g.Size = old
 		}
 	}

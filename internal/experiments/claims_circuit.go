@@ -172,6 +172,14 @@ func RunResizeVsVddIn(lab *device.Lab, s CircuitSetup) (*ResizeVsVddResult, erro
 	if err != nil {
 		return nil, err
 	}
+	// Resize first, then CVS: the paper's sub-optimality observation.
+	// Downsize is deterministic, so this leg continues on the circuit the
+	// resize leg just downsized instead of downsizing another clone.
+	afterCVS, err := cvs.Assign(rzC, cvs.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	out.AssignedAfterResize = afterCVS.AssignedFraction
 	cvsC := base.Clone()
 	out.CVSOnSame, err = cvs.Assign(cvsC, cvs.DefaultOptions())
 	if err != nil {
@@ -182,16 +190,6 @@ func RunResizeVsVddIn(lab *device.Lab, s CircuitSetup) (*ResizeVsVddResult, erro
 	if err != nil {
 		return nil, err
 	}
-	// Resize first, then CVS: the paper's sub-optimality observation.
-	firstRz := base.Clone()
-	if _, err := resize.Downsize(firstRz, resize.DefaultOptions()); err != nil {
-		return nil, err
-	}
-	afterCVS, err := cvs.Assign(firstRz, cvs.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	out.AssignedAfterResize = afterCVS.AssignedFraction
 	return out, nil
 }
 

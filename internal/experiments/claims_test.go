@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
+	"nanometer/internal/cvs"
 	"nanometer/internal/itrs"
+	"nanometer/internal/resize"
 )
 
 // --- C1: dynamic thermal management -------------------------------------------
@@ -217,6 +220,45 @@ func TestClaimResizeVsVdd(t *testing.T) {
 	if r.AssignedAfterResize >= r.CVSOnSame.AssignedFraction {
 		t.Fatalf("resize-then-CVS (%.0f%%) must reach fewer gates than CVS-first (%.0f%%)",
 			r.AssignedAfterResize*100, r.CVSOnSame.AssignedFraction*100)
+	}
+}
+
+// RunResizeVsVdd's resize-then-CVS leg continues on the circuit its resize
+// leg already downsized. That is sound only while Downsize is
+// deterministic: two runs on clones of one circuit must leave the same
+// gates and the same Result, and CVS on a second downsizing must assign
+// what the shared circuit reports.
+func TestResizeDownsizeDeterministic(t *testing.T) {
+	base, err := buildCircuit(DefaultCircuitSetup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := base.Clone(), base.Clone()
+	ra, err := resize.Downsize(a, resize.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := resize.Downsize(b, resize.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Gates, b.Gates) {
+		t.Fatalf("two downsizing runs left different gates")
+	}
+	if !reflect.DeepEqual(ra, rb) {
+		t.Fatalf("two downsizing runs differ: %+v vs %+v", ra, rb)
+	}
+	afterCVS, err := cvs.Assign(b, cvs.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunResizeVsVdd(DefaultCircuitSetup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.AssignedAfterResize != afterCVS.AssignedFraction {
+		t.Fatalf("resize-then-CVS assigned %v, a fresh downsizing then CVS assigns %v",
+			r.AssignedAfterResize, afterCVS.AssignedFraction)
 	}
 }
 

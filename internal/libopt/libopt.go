@@ -110,14 +110,16 @@ func SizeWithLibrary(c *netlist.Circuit, lib Library, fHz float64) (*Result, err
 		fHz = 1 / c.ClockPeriodS
 	}
 	inc := sta.NewIncremental(c)
+	order := make([]int, len(c.Gates))
+	var slack []float64
+	seeds := make([]int, 0, 8)
 	for rounds := 0; rounds < 64; rounds++ {
-		snap := sta.Analyze(c)
-		order := make([]int, len(c.Gates))
+		slack = inc.Slack(slack)
 		for i := range order {
 			order[i] = i
 		}
 		sort.Slice(order, func(a, b int) bool {
-			return snap.SlackS[order[a]] > snap.SlackS[order[b]]
+			return slack[order[a]] > slack[order[b]]
 		})
 		moved := 0
 		for _, i := range order {
@@ -128,7 +130,7 @@ func SizeWithLibrary(c *netlist.Circuit, lib Library, fHz float64) (*Result, err
 			}
 			old := g.Size
 			g.Size = next
-			seeds := []int{i}
+			seeds = append(seeds[:0], i)
 			for _, ref := range g.Inputs {
 				if _, isPI := netlist.IsPI(ref); !isPI {
 					seeds = append(seeds, ref)

@@ -77,15 +77,17 @@ func Downsize(c *netlist.Circuit, opts Options) (*Result, error) {
 	sizeBefore := totalSize(c)
 
 	inc := sta.NewIncremental(c)
+	order := make([]int, len(c.Gates))
+	var slack []float64
+	seeds := make([]int, 0, 8)
 	for round := 0; round < opts.Rounds; round++ {
-		// Most-slack-first ordering from a fresh snapshot each round.
-		snap := sta.Analyze(c)
-		order := make([]int, len(c.Gates))
+		// Most-slack-first ordering from the current timing each round.
+		slack = inc.Slack(slack)
 		for i := range order {
 			order[i] = i
 		}
 		sort.Slice(order, func(a, b int) bool {
-			return snap.SlackS[order[a]] > snap.SlackS[order[b]]
+			return slack[order[a]] > slack[order[b]]
 		})
 		moved := 0
 		for _, i := range order {
@@ -98,7 +100,7 @@ func Downsize(c *netlist.Circuit, opts Options) (*Result, error) {
 			g.Size = newSize
 			// The gate's own delay changes, and its fanins see a smaller
 			// load, so their delays change too.
-			seeds := []int{i}
+			seeds = append(seeds[:0], i)
 			for _, ref := range g.Inputs {
 				if _, isPI := netlist.IsPI(ref); !isPI {
 					seeds = append(seeds, ref)

@@ -267,7 +267,9 @@ func trialSeeds(c *netlist.Circuit, i int) []int {
 
 // The incremental engine must reproduce a fresh full analysis bit for bit:
 // it recomputes each touched arrival as the same max over the same fanins
-// plus the same delay, so no tolerance is allowed. The edit stream mixes
+// plus the same delay, so no tolerance is allowed. Slack, the backward pass
+// over the tracked arrays, must match the full analysis' slacks the same
+// way. The edit stream mixes
 // size changes, Vth flips and Vdd flips with the level-converter flag
 // toggled, seeds with duplicate fanins, and accepted and rolled-back
 // trials.
@@ -277,6 +279,7 @@ func TestIncrementalDifferentialExact(t *testing.T) {
 			c := genCircuit(t, gates, seed)
 			inc := NewIncremental(c)
 			rng := rand.New(rand.NewSource(seed * 31))
+			var slack []float64
 			accepted, rejected := 0, 0
 			for step := 0; step < 340; step++ {
 				i := rng.Intn(len(c.Gates))
@@ -302,10 +305,15 @@ func TestIncrementalDifferentialExact(t *testing.T) {
 					rejected++
 				}
 				full := Analyze(c)
+				slack = inc.Slack(slack)
 				for k := range full.ArrivalS {
 					if inc.ArrivalS[k] != full.ArrivalS[k] || inc.DelayS[k] != full.DelayS[k] {
 						t.Fatalf("gates=%d seed=%d step %d: gate %d arrival %v delay %v, full analysis %v / %v",
 							gates, seed, step, k, inc.ArrivalS[k], inc.DelayS[k], full.ArrivalS[k], full.DelayS[k])
+					}
+					if slack[k] != full.SlackS[k] {
+						t.Fatalf("gates=%d seed=%d step %d: gate %d slack %v, full analysis %v",
+							gates, seed, step, k, slack[k], full.SlackS[k])
 					}
 				}
 			}
@@ -317,8 +325,8 @@ func TestIncrementalDifferentialExact(t *testing.T) {
 	}
 }
 
-// A warmed incremental view must run accepted and rejected trials without
-// allocating.
+// A warmed incremental view must run accepted and rejected trials, and
+// Slack into a caller-owned buffer, without allocating.
 func TestIncrementalTrialsDoNotAllocate(t *testing.T) {
 	c := genCircuit(t, 600, 7)
 	r := Analyze(c)
@@ -359,4 +367,89 @@ func TestIncrementalTrialsDoNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("rejected trial allocates %v times", n)
 	}
+
+	dst := make([]float64, len(c.Gates))
+	if n := testing.AllocsPerRun(50, func() {
+		dst = inc.Slack(dst)
+	}); n != 0 {
+		t.Fatalf("Slack into a sized buffer allocates %v times", n)
+	}
+}
+
+// levelSkew builds a netlist whose gate IDs disagree with its levels: gate
+// 4 has a high ID but sits on level 0, and its fanout cone reconverges at
+// gate 8. Its first fanout, gate 5, is a primary output sharing level 1
+// with gate 6.
+//
+//	PI0 → 0 → 1 → 2 → 3 ─────────→ 9 (PO)
+//	PI1 → 4 → 5 (PO)               ↑
+//	      4 → 6 (with 0) ─→ 8 ─────┘
+//	      4 → 7 (with 1) ─↗
+func levelSkew(t *testing.T) *netlist.Circuit {
+	t.Helper()
+	tech := netlist.MustNewTech(100, 0.65)
+	c := &netlist.Circuit{Tech: tech, NumPIs: 2}
+	for i, in := range [][]int{
+		{netlist.PI(0)}, {0}, {1}, {2},
+		{netlist.PI(1)}, {4}, {4, 0}, {4, 1}, {6, 7}, {3, 8},
+	} {
+		kind := gate.Inv
+		if len(in) == 2 {
+			kind = gate.Nand
+		}
+		c.Gates = append(c.Gates, netlist.Gate{ID: i, Kind: kind, Inputs: in, Size: 2, WireCapF: 1e-15})
+	}
+	c.Rebuild()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SetPeriodFromCritical(c, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// Repropagation runs level by level, not in ID order. A rejected trial that
+// stops partway through a level must leave no queued gate behind, and both
+// it and a following accepted trial must leave the view equal to a fresh
+// analysis.
+func TestIncrementalLevelOrderNotIDOrder(t *testing.T) {
+	c := levelSkew(t)
+	inc := NewIncremental(c)
+	if inc.level[4] != 0 || inc.level[3] != 3 || inc.level[5] != 1 || inc.level[6] != 1 {
+		t.Fatalf("levels %v: gate 4 must sit below gate 3, and gates 5 and 6 share level 1", inc.level)
+	}
+	check := func(trial string) {
+		t.Helper()
+		full := Analyze(c)
+		for k := range full.ArrivalS {
+			if inc.ArrivalS[k] != full.ArrivalS[k] || inc.DelayS[k] != full.DelayS[k] {
+				t.Fatalf("after %s: gate %d arrival %v delay %v, full analysis %v / %v",
+					trial, k, inc.ArrivalS[k], inc.DelayS[k], full.ArrivalS[k], full.DelayS[k])
+			}
+		}
+		for l, q := range inc.queuedAt {
+			if q != 0 {
+				t.Fatalf("after %s: level %d still has %d queued gates", trial, l, q)
+			}
+		}
+	}
+
+	// Starving gate 4 queues gates 5 and 6 on level 1 and gate 7 on level
+	// 2; gate 5, an output, violates first, so the trial stops with gate 6
+	// and level 2 still queued.
+	g := &c.Gates[4]
+	old := g.Size
+	g.Size = old * 0.01
+	if inc.TryUpdate(4) {
+		t.Fatalf("starving gate 4 must be rejected")
+	}
+	g.Size = old
+	check("rejected trial")
+
+	g.Size = old * 2
+	if !inc.TryUpdate(4) {
+		t.Fatalf("upsizing gate 4 must be accepted")
+	}
+	check("accepted trial")
 }
