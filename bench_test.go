@@ -6,6 +6,7 @@
 package nanometer_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -23,9 +24,11 @@ import (
 	"nanometer/internal/netlist"
 	"nanometer/internal/powergrid"
 	"nanometer/internal/rcsim"
+	"nanometer/internal/render"
 	"nanometer/internal/repeater"
 	"nanometer/internal/repro"
 	"nanometer/internal/resize"
+	"nanometer/internal/result"
 	"nanometer/internal/runner"
 	"nanometer/internal/scenario"
 	"nanometer/internal/sta"
@@ -37,7 +40,7 @@ import (
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table1(); len(rows) != 9 {
+		if rows := experiments.Table1(device.BaseLab()); len(rows) != 9 {
 			b.Fatalf("bad row count %d", len(rows))
 		}
 	}
@@ -45,7 +48,7 @@ func BenchmarkTable1(b *testing.B) {
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2()
+		rows, err := experiments.Table2(device.BaseLab())
 		if err != nil || len(rows) != 7 {
 			b.Fatalf("table2: %v (%d rows)", err, len(rows))
 		}
@@ -56,7 +59,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1(nil); err != nil {
+		if _, err := experiments.Figure1(device.BaseLab(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +67,7 @@ func BenchmarkFigure1(b *testing.B) {
 
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure2(); err != nil {
+		if _, err := experiments.Figure2(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,7 +75,7 @@ func BenchmarkFigure2(b *testing.B) {
 
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Figure3And4(nil); err != nil {
+		if _, _, err := experiments.Figure3And4(device.BaseLab(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +90,7 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Figure3And4(grid); err != nil {
+		if _, _, err := experiments.Figure3And4(device.BaseLab(), grid); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +98,7 @@ func BenchmarkFigure4(b *testing.B) {
 
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(); err != nil {
+		if _, err := experiments.Figure5(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +108,7 @@ func BenchmarkFigure5(b *testing.B) {
 
 func BenchmarkClaimDTM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DTM(50); err != nil {
+		if _, err := experiments.DTM(device.BaseLab(), 50); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +116,7 @@ func BenchmarkClaimDTM(b *testing.B) {
 
 func BenchmarkClaimSignaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Signaling(); err != nil {
+		if _, err := experiments.Signaling(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,7 +124,7 @@ func BenchmarkClaimSignaling(b *testing.B) {
 
 func BenchmarkClaimLibopt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunLibrary(experiments.DefaultCircuitSetup()); err != nil {
+		if _, err := experiments.RunLibrary(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +132,7 @@ func BenchmarkClaimLibopt(b *testing.B) {
 
 func BenchmarkClaimCVS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunCVS(experiments.DefaultCircuitSetup()); err != nil {
+		if _, err := experiments.RunCVS(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,7 +140,7 @@ func BenchmarkClaimCVS(b *testing.B) {
 
 func BenchmarkClaimDualVth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunDualVth(experiments.DefaultCircuitSetup()); err != nil {
+		if _, err := experiments.RunDualVth(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,7 +148,7 @@ func BenchmarkClaimDualVth(b *testing.B) {
 
 func BenchmarkClaimResize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunResizeVsVdd(experiments.DefaultCircuitSetup()); err != nil {
+		if _, err := experiments.RunResizeVsVdd(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +156,7 @@ func BenchmarkClaimResize(b *testing.B) {
 
 func BenchmarkClaimVddFloor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunVddFloor(); err != nil {
+		if _, err := experiments.RunVddFloor(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +164,7 @@ func BenchmarkClaimVddFloor(b *testing.B) {
 
 func BenchmarkClaimBumps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunBumps(); err != nil {
+		if _, err := experiments.RunBumps(device.BaseLab(), experiments.DefaultMeshN); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +172,7 @@ func BenchmarkClaimBumps(b *testing.B) {
 
 func BenchmarkClaimTransients(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTransients(); err != nil {
+		if _, err := experiments.RunTransients(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -407,7 +410,7 @@ func BenchmarkDeviceIonSolve(b *testing.B) {
 
 func BenchmarkClaimStackVth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunStackVth(70); err != nil {
+		if _, err := experiments.RunStackVth(device.BaseLab(), 70); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -415,7 +418,7 @@ func BenchmarkClaimStackVth(b *testing.B) {
 
 func BenchmarkClaimStandby(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunStandby(); err != nil {
+		if _, err := experiments.RunStandby(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -423,7 +426,7 @@ func BenchmarkClaimStandby(b *testing.B) {
 
 func BenchmarkClaimSwingStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunSwingStudy(50); err != nil {
+		if _, err := experiments.RunSwingStudy(device.BaseLab(), 50); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -431,7 +434,7 @@ func BenchmarkClaimSwingStudy(b *testing.B) {
 
 func BenchmarkClaimBusPlan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunBusPlan(50); err != nil {
+		if _, err := experiments.RunBusPlan(device.BaseLab(), 50); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -587,16 +590,20 @@ func BenchmarkSweepDistinctMeshes(b *testing.B) {
 	defer repro.ResetCache()
 	for i := 0; i < b.N; i++ {
 		repro.ResetCache()
-		if _, err := repro.ComputeAllVariants(pool, c8, repro.Options{MeshN: 255}, variants); err != nil {
-			b.Fatal(err)
-		}
+		repro.Sweep(context.Background(), pool, c8, repro.Options{MeshN: 255}, variants, func(_ int, _ []*result.Result, err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
 // BenchmarkFullReport regenerates the entire nanorepro report (tables,
-// figures, claims) through the runner pool at several worker counts. The
-// jobs=1 case is the serial baseline; speedup at jobs>1 scales with
-// available cores (GOMAXPROCS) since the artifacts are independent.
+// figures, claims) the way the command does — compute every artifact on
+// the runner pool, then encode the text report — at several worker
+// counts. The jobs=1 case is the serial baseline; speedup at jobs>1
+// scales with available cores (GOMAXPROCS) since the artifacts are
+// independent.
 func BenchmarkFullReport(b *testing.B) {
 	counts := []int{1, 2, runtime.NumCPU()}
 	if runtime.NumCPU() <= 2 {
@@ -606,14 +613,14 @@ func BenchmarkFullReport(b *testing.B) {
 		b.Run(fmt.Sprintf("jobs=%d", workers), func(b *testing.B) {
 			// NoCache: this benchmark measures the model stack, not the
 			// memoized path (BenchmarkArtifactCache covers that).
-			jobs := repro.Jobs(repro.Artifacts(), repro.Options{NoCache: true})
+			arts, opts := repro.Artifacts(), repro.Options{NoCache: true}
 			pool := runner.Pool{Workers: workers}
 			for i := 0; i < b.N; i++ {
-				results, err := pool.RunTo(io.Discard, jobs)
+				results, err := repro.ComputeAllCtx(context.Background(), pool, arts, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := runner.Errs(results); err != nil {
+				if err := render.Report(io.Discard, "text", render.Text{}, results); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,12 +8,12 @@
 // memoized process-wide, so every format of one run computes each artifact
 // exactly once.
 //
-// Artifacts are independent, so they run concurrently on a bounded worker
-// pool (internal/runner). Output order — and every output byte — is
-// identical for any -jobs value: each artifact renders into its own buffer
-// and buffers are emitted in canonical order. A failed artifact does not
-// abort the run; all per-artifact errors are aggregated and reported at the
-// end, and the exit status reflects them.
+// Artifacts are independent, so they compute concurrently on a bounded
+// worker pool (repro.Sweep). Output order — and every output byte —
+// is identical for any -jobs value: results settle in canonical order and
+// are encoded (render.Report) one variant at a time. A failed artifact does
+// not abort the run; all per-artifact errors are aggregated and reported
+// at the end, and the exit status reflects them.
 //
 // Usage:
 //
@@ -22,7 +22,8 @@
 //	nanorepro -format csv     # tables, figures, and claim findings as CSV
 //	nanorepro -jobs 1         # serial (same bytes, slower)
 //	nanorepro -only t2,f3     # select artifacts (t1,t2,f1..f5,c1..c13)
-//	nanorepro -csv out/       # text report + per-figure CSV files
+//	nanorepro -csv out/       # text report + per-figure CSV files (a sweep
+//	                          # writes out/<variant>/ per variant)
 //	nanorepro -plot           # crude terminal plots for the figures
 //	nanorepro -v              # append each claim's paper checks
 //	nanorepro -scenario scenarios/ext65.json   # compute under a roadmap scenario
@@ -30,12 +31,15 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"strings"
 
@@ -47,50 +51,64 @@ import (
 	"nanometer/internal/trace"
 )
 
-var (
-	list    = flag.Bool("list", false, "list artifact ids and exit")
-	only    = flag.String("only", "", "comma-separated artifact ids (t1,t2,f1..f5,c1..c13); empty = all")
-	format  = flag.String("format", "text", "output format: text, json, or csv")
-	csvDir  = flag.String("csv", "", "directory to write figure CSVs into (text format)")
-	plot    = flag.Bool("plot", false, "render terminal plots for figures (text format)")
-	verbose = flag.Bool("v", false, "append each claim's paper checks (text format)")
-	jobs    = flag.Int("jobs", runtime.NumCPU(), "max artifacts computed concurrently (output is identical for any value)")
-	meshN   = flag.Int("mesh-n", 0, "power-grid validation mesh nodes per side for c8 (0 = default 41; larger grids refine the 2-D bound)")
-	scnPath = flag.String("scenario", "", "roadmap scenario JSON file (see scenarios/); a sweep runs once per variant")
-	trcPath = flag.String("trace", "", "workload trace JSON file (see traces/); simulates it and exits non-zero on failed assertions")
-)
-
 func main() {
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, writes the report to stdout and
+// diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nanorepro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		list    = fs.Bool("list", false, "list artifact ids and exit")
+		only    = fs.String("only", "", "comma-separated artifact ids (t1,t2,f1..f5,c1..c13); empty = all")
+		format  = fs.String("format", "text", "output format: text, json, or csv")
+		csvDir  = fs.String("csv", "", "directory to write figure CSVs into (text format)")
+		plot    = fs.Bool("plot", false, "render terminal plots for figures (text format)")
+		verbose = fs.Bool("v", false, "append each claim's paper checks (text format)")
+		jobs    = fs.Int("jobs", runtime.NumCPU(), "max artifacts computed concurrently (output is identical for any value)")
+		meshN   = fs.Int("mesh-n", 0, "power-grid validation mesh nodes per side for c8 (0 = default 41; larger grids refine the 2-D bound)")
+		scnPath = fs.String("scenario", "", "roadmap scenario JSON file (see scenarios/); a sweep runs once per variant")
+		trcPath = fs.String("trace", "", "workload trace JSON file (see traces/); simulates it and exits non-zero on failed assertions")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "nanorepro:", err)
+		return 1
+	}
 	if *list {
 		for _, a := range repro.Artifacts() {
-			fmt.Printf("%-4s %s\n", a.ID, a.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", a.ID, a.Title)
 		}
-		return
+		return 0
 	}
 	arts, err := repro.Select(strings.Split(*only, ","))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	// Validate user input at the boundary: a nonsense -mesh-n must fail
 	// here with a clear message, not deep inside solver setup.
 	if err := repro.ValidateMeshN(*meshN); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *format != "text" && (*csvDir != "" || *plot || *verbose) {
-		fatal(fmt.Errorf("-csv, -plot, and -v only apply to -format text"))
+		return fail(fmt.Errorf("-csv, -plot, and -v only apply to -format text"))
 	}
-	switch *format {
-	case "text", "csv", "json":
-	default:
-		fatal(fmt.Errorf("unknown -format %q (want text, json, or csv)", *format))
+	if err := render.CheckFormat(*format); err != nil {
+		return fail(fmt.Errorf("-format: %w", err))
 	}
+	text := render.Text{CSVDir: *csvDir, Plot: *plot, Verbose: *verbose}
 	if *trcPath != "" {
 		if *only != "" || *scnPath != "" {
-			fatal(fmt.Errorf("-trace is its own mode; it does not combine with -only or -scenario"))
+			return fail(fmt.Errorf("-trace is its own mode; it does not combine with -only or -scenario"))
 		}
-		runTrace(*trcPath)
-		return
+		return runTrace(*trcPath, *format, text, stdout, stderr)
 	}
 	// The nil scenario (no -scenario flag) is the base roadmap and the
 	// byte-identity path; a scenario with a sweep runs once per variant, in
@@ -99,119 +117,108 @@ func main() {
 	if *scnPath != "" {
 		s, err := scenario.Load(*scnPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if variants, err = s.Variants(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
+	// Each variant of a sweep writes its figure CSVs into its own
+	// subdirectory, so no variant overwrites another's files. Scenario
+	// names are validated path-safe, so the join stays inside -csv.
+	csvDirs := make([]string, len(variants))
+	for i, v := range variants {
+		switch {
+		case *csvDir == "":
+			continue
+		case len(variants) > 1:
+			csvDirs[i] = filepath.Join(*csvDir, v.Name)
+		default:
+			csvDirs[i] = *csvDir
+		}
+		if err := os.MkdirAll(csvDirs[i], 0o755); err != nil {
+			return fail(err)
 		}
 	}
-	pool := runner.Pool{Workers: *jobs}
-	opts := repro.Options{CSVDir: *csvDir, Plot: *plot, Verbose: *verbose, MeshN: *meshN}
 
-	// All variants flatten into ONE pool run (variant-major, so output is
-	// byte-identical to the historical per-variant loop at any -jobs):
-	// workers stay busy across variant boundaries, and the sweep's mesh
-	// solves are batch-primed through one shared pattern traversal before
-	// the jobs start.
-	failed := false
-	rep := &result.Report{}
-	switch *format {
-	case "text":
-		failed = stream(pool, repro.VariantJobs(arts, opts, variants, nil))
-	case "csv":
-		failed = stream(pool, repro.VariantJobs(arts, opts, variants, render.CSV{}))
-	case "json":
-		grouped, aggErr := repro.ComputeAllVariants(pool, arts, opts, variants)
-		for _, results := range grouped {
-			for _, r := range results {
-				if r != nil {
-					rep.Artifacts = append(rep.Artifacts, r)
-				}
-			}
+	// All variants compute in ONE pool run (variant-major, so output is
+	// byte-identical to a per-variant loop at any -jobs): workers stay
+	// busy across variant boundaries. Text and CSV stream one variant at a
+	// time as each settles; JSON is one document after the last.
+	out := bufio.NewWriter(stdout)
+	var failures []string
+	var all []*result.Result
+	opts := repro.Options{MeshN: *meshN}
+	repro.Sweep(context.Background(), runner.Pool{Workers: *jobs}, arts, opts, variants, func(i int, res []*result.Result, err error) {
+		if *format == "json" {
+			all = append(all, res...)
+		} else {
+			vt := text
+			vt.CSVDir = csvDirs[i]
+			err = errors.Join(err, render.Report(out, *format, vt, res))
+			out.Flush() // a write error sticks; the last Flush reports it
 		}
-		if aggErr != nil {
-			printFailures(aggErr)
-			failed = true
+		if err == nil {
+			return
 		}
-	}
+		prefix := ""
+		if len(variants) > 1 {
+			prefix = variants[i].Name + ": "
+		}
+		for _, line := range strings.Split(err.Error(), "\n") {
+			failures = append(failures, prefix+line)
+		}
+	})
 	if *format == "json" {
-		if err := (render.JSON{Indent: "  "}).EncodeReport(os.Stdout, rep); err != nil {
-			fatal(err)
+		if err := render.Report(out, *format, text, all); err != nil {
+			return fail(err)
 		}
 	}
-	if failed {
-		os.Exit(1)
+	if err := out.Flush(); err != nil {
+		return fail(err)
 	}
+	if len(failures) > 0 {
+		fmt.Fprintln(stderr, "nanorepro: some artifacts failed:")
+		for _, line := range failures {
+			fmt.Fprintln(stderr, "  "+line)
+		}
+		return 1
+	}
+	return 0
 }
 
 // runTrace is the -trace mode: simulate one workload-trace file (the same
 // document POST /api/v1/jobs accepts) and print its findings in the
-// selected format. Ctrl-C cancels the simulation mid-trace; a trace whose
-// assertions fail exits non-zero after printing each failed check.
-func runTrace(path string) {
+// selected format (JSON as the bare result, as the jobs API serves it).
+// Ctrl-C cancels the simulation mid-trace; a trace whose assertions fail
+// exits non-zero after printing each failed check.
+func runTrace(path, format string, text render.Text, stdout, stderr io.Writer) int {
 	tr, err := trace.Load(path)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "nanorepro:", err)
+		return 1
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	res, err := tr.Run(ctx, nil)
+	if err == nil {
+		if format == "json" {
+			err = render.JSON{Indent: "  "}.Encode(stdout, res)
+		} else {
+			err = render.Report(stdout, format, text, []*result.Result{res})
+		}
+	}
 	if err != nil {
-		fatal(err)
-	}
-	var enc interface {
-		Encode(io.Writer, *result.Result) error
-	}
-	switch *format {
-	case "json":
-		enc = render.JSON{Indent: "  "}
-	case "csv":
-		enc = render.CSV{}
-	default:
-		enc = render.Text{CSVDir: *csvDir, Plot: *plot, Verbose: *verbose}
-	}
-	if err := enc.Encode(os.Stdout, res); err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "nanorepro:", err)
+		return 1
 	}
 	if failed := trace.FailedChecks(res); len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "nanorepro: trace %s: %d assertion(s) failed:\n", tr.Name, len(failed))
+		fmt.Fprintf(stderr, "nanorepro: trace %s: %d assertion(s) failed:\n", tr.Name, len(failed))
 		for _, f := range failed {
-			fmt.Fprintf(os.Stderr, "  %s = %.6g, want %.6g ±%.3g rel\n",
+			fmt.Fprintf(stderr, "  %s = %.6g, want %.6g ±%.3g rel\n",
 				f.Key, f.Value, f.Check.Paper, f.Check.RelTol)
 		}
-		os.Exit(1)
+		return 1
 	}
-}
-
-// stream runs encode jobs on the pool, emitting each artifact's bytes in
-// canonical order. It reports per-artifact failures and returns whether any
-// occurred, so a sweep finishes its remaining variants before the non-zero
-// exit.
-func stream(pool runner.Pool, jobs []runner.Job) bool {
-	results, sinkErr := pool.RunTo(os.Stdout, jobs)
-	if sinkErr != nil {
-		fatal(sinkErr)
-	}
-	if agg := runner.Errs(results); agg != nil {
-		printFailures(agg)
-		return true
-	}
-	return false
-}
-
-func printFailures(agg error) {
-	fmt.Fprintln(os.Stderr, "nanorepro: some artifacts failed:")
-	for _, line := range strings.Split(agg.Error(), "\n") {
-		fmt.Fprintln(os.Stderr, "  "+line)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nanorepro:", err)
-	os.Exit(1)
+	return 0
 }

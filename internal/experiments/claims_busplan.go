@@ -21,12 +21,7 @@ type BusPlanResult struct {
 
 // RunBusPlan plans a representative 50 nm global-route population: latency-
 // critical hops, relaxed cross-chip buses, and high-activity datapath links.
-func RunBusPlan(nodeNM int) (*BusPlanResult, error) {
-	return RunBusPlanIn(device.BaseLab(), nodeNM)
-}
-
-// RunBusPlanIn is RunBusPlan against an explicit laboratory.
-func RunBusPlanIn(lab *device.Lab, nodeNM int) (*BusPlanResult, error) {
+func RunBusPlan(lab *device.Lab, nodeNM int) (*BusPlanResult, error) {
 	node, err := lab.Node(nodeNM)
 	if err != nil {
 		return nil, err

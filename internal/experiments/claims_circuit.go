@@ -36,12 +36,7 @@ func DefaultCircuitSetup() CircuitSetup {
 }
 
 // buildCircuit generates the benchmark netlist for a setup.
-func buildCircuit(s CircuitSetup) (*netlist.Circuit, error) {
-	return buildCircuitIn(device.BaseLab(), s)
-}
-
-// buildCircuitIn is buildCircuit against an explicit laboratory.
-func buildCircuitIn(lab *device.Lab, s CircuitSetup) (*netlist.Circuit, error) {
+func buildCircuit(lab *device.Lab, s CircuitSetup) (*netlist.Circuit, error) {
 	tech, err := netlist.NewTechIn(lab, s.NodeNM, s.LowVddRatio)
 	if err != nil {
 		return nil, err
@@ -72,13 +67,8 @@ type CVSResult struct {
 }
 
 // RunCVS runs clustered voltage scaling and its clustering ablation.
-func RunCVS(s CircuitSetup) (*CVSResult, error) {
-	return RunCVSIn(device.BaseLab(), s)
-}
-
-// RunCVSIn is RunCVS against an explicit laboratory.
-func RunCVSIn(lab *device.Lab, s CircuitSetup) (*CVSResult, error) {
-	c, err := buildCircuitIn(lab, s)
+func RunCVS(lab *device.Lab, s CircuitSetup) (*CVSResult, error) {
+	c, err := buildCircuit(lab, s)
 	if err != nil {
 		return nil, err
 	}
@@ -110,15 +100,10 @@ type DualVthResult struct {
 // netlist is clocked at its critical delay (guard 1.0): the dual-Vth
 // literature's results are for timing-tight designs where the low threshold
 // is what makes the clock.
-func RunDualVth(s CircuitSetup) (*DualVthResult, error) {
-	return RunDualVthIn(device.BaseLab(), s)
-}
-
-// RunDualVthIn is RunDualVth against an explicit laboratory.
-func RunDualVthIn(lab *device.Lab, s CircuitSetup) (*DualVthResult, error) {
+func RunDualVth(lab *device.Lab, s CircuitSetup) (*DualVthResult, error) {
 	s.PeriodGuard = 1.0
 	out := &DualVthResult{Setup: s}
-	c1, err := buildCircuitIn(lab, s)
+	c1, err := buildCircuit(lab, s)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +111,7 @@ func RunDualVthIn(lab *device.Lab, s CircuitSetup) (*DualVthResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c2, err := buildCircuitIn(lab, s)
+	c2, err := buildCircuit(lab, s)
 	if err != nil {
 		return nil, err
 	}
@@ -155,13 +140,8 @@ type ResizeVsVddResult struct {
 }
 
 // RunResizeVsVdd runs the C6 comparison.
-func RunResizeVsVdd(s CircuitSetup) (*ResizeVsVddResult, error) {
-	return RunResizeVsVddIn(device.BaseLab(), s)
-}
-
-// RunResizeVsVddIn is RunResizeVsVdd against an explicit laboratory.
-func RunResizeVsVddIn(lab *device.Lab, s CircuitSetup) (*ResizeVsVddResult, error) {
-	base, err := buildCircuitIn(lab, s)
+func RunResizeVsVdd(lab *device.Lab, s CircuitSetup) (*ResizeVsVddResult, error) {
+	base, err := buildCircuit(lab, s)
 	if err != nil {
 		return nil, err
 	}
@@ -206,13 +186,8 @@ type LibraryResult struct {
 }
 
 // RunLibrary runs the library-granularity comparison.
-func RunLibrary(s CircuitSetup) (*LibraryResult, error) {
-	return RunLibraryIn(device.BaseLab(), s)
-}
-
-// RunLibraryIn is RunLibrary against an explicit laboratory.
-func RunLibraryIn(lab *device.Lab, s CircuitSetup) (*LibraryResult, error) {
-	c, err := buildCircuitIn(lab, s)
+func RunLibrary(lab *device.Lab, s CircuitSetup) (*LibraryResult, error) {
+	c, err := buildCircuit(lab, s)
 	if err != nil {
 		return nil, err
 	}

@@ -28,12 +28,7 @@ type StackVthResult struct {
 }
 
 // RunStackVth evaluates the intra-cell assignment space for a node.
-func RunStackVth(nodeNM int) (*StackVthResult, error) {
-	return RunStackVthIn(device.BaseLab(), nodeNM)
-}
-
-// RunStackVthIn is RunStackVth against an explicit laboratory.
-func RunStackVthIn(lab *device.Lab, nodeNM int) (*StackVthResult, error) {
+func RunStackVth(lab *device.Lab, nodeNM int) (*StackVthResult, error) {
 	d, err := lab.ForNode(nodeNM)
 	if err != nil {
 		return nil, err
@@ -88,12 +83,7 @@ type StandbyResult struct {
 }
 
 // RunStandby evaluates the standby-technique comparison.
-func RunStandby() (*StandbyResult, error) {
-	return RunStandbyIn(device.BaseLab())
-}
-
-// RunStandbyIn is RunStandby against an explicit laboratory.
-func RunStandbyIn(lab *device.Lab) (*StandbyResult, error) {
+func RunStandby(lab *device.Lab) (*StandbyResult, error) {
 	const width = 1e-3
 	at180, err := standby.CompareIn(lab, 180, width)
 	if err != nil {

@@ -22,12 +22,7 @@ type VddFloorResult struct {
 }
 
 // RunVddFloor runs the C7 computation.
-func RunVddFloor() (*VddFloorResult, error) {
-	return RunVddFloorIn(device.BaseLab())
-}
-
-// RunVddFloorIn is RunVddFloor against an explicit laboratory.
-func RunVddFloorIn(lab *device.Lab) (*VddFloorResult, error) {
+func RunVddFloor(lab *device.Lab) (*VddFloorResult, error) {
 	node := lab.MustNode(35)
 	ex, err := core.NewExplorerIn(lab, 35, units.RoomTemperature, 0.1, node.ClockHz)
 	if err != nil {
@@ -62,26 +57,16 @@ type BumpsResult struct {
 	LadderRatio, PessimisticRatio float64
 }
 
-// DefaultMeshN is the 2-D mesh discretization RunBumps uses: fine enough
-// that the smeared-mesh bound is converged at report precision, small
-// enough to stay cheap. RunBumpsN overrides it.
+// DefaultMeshN is the 2-D mesh discretization RunBumps uses by default:
+// fine enough that the smeared-mesh bound is converged at report
+// precision, small enough to stay cheap.
 const DefaultMeshN = 41
 
-// RunBumps runs the C8 analysis at 35 nm with the default mesh size.
-func RunBumps() (*BumpsResult, error) {
-	return RunBumpsN(DefaultMeshN)
-}
-
-// RunBumpsN runs the C8 analysis at 35 nm with an n×n validation mesh
+// RunBumps runs the C8 analysis at 35 nm with an n×n validation mesh
 // (n ≤ 0 selects DefaultMeshN). The multigrid-preconditioned mesh solver
 // keeps iteration counts near-constant in n, so refinement sweeps (129,
 // 255, ...) stay close to linear in node count.
-func RunBumpsN(meshN int) (*BumpsResult, error) {
-	return RunBumpsNIn(device.BaseLab(), meshN)
-}
-
-// RunBumpsNIn is RunBumpsN against an explicit laboratory.
-func RunBumpsNIn(lab *device.Lab, meshN int) (*BumpsResult, error) {
+func RunBumps(lab *device.Lab, meshN int) (*BumpsResult, error) {
 	if meshN <= 0 {
 		meshN = DefaultMeshN
 	}
@@ -140,12 +125,7 @@ type TransientsResult struct {
 }
 
 // RunTransients runs the C9 analysis at 35 nm.
-func RunTransients() (*TransientsResult, error) {
-	return RunTransientsIn(device.BaseLab())
-}
-
-// RunTransientsIn is RunTransients against an explicit laboratory.
-func RunTransientsIn(lab *device.Lab) (*TransientsResult, error) {
+func RunTransients(lab *device.Lab) (*TransientsResult, error) {
 	const nodeNM = 35
 	node := lab.MustNode(nodeNM)
 	// A sleep-gated block: 1/8 of the die's switching logic, sized so its

@@ -45,12 +45,7 @@ type SignalingRow struct {
 }
 
 // Signaling runs the C2 experiment across the roadmap.
-func Signaling() ([]SignalingRow, error) {
-	return SignalingIn(device.BaseLab())
-}
-
-// SignalingIn is Signaling against an explicit laboratory.
-func SignalingIn(lab *device.Lab) ([]SignalingRow, error) {
+func Signaling(lab *device.Lab) ([]SignalingRow, error) {
 	var rows []SignalingRow
 	for _, nm := range lab.NodesNM() {
 		node := lab.MustNode(nm)
@@ -113,12 +108,7 @@ type SwingStudyResult struct {
 }
 
 // RunSwingStudy evaluates tolerable swings on a cross-unit global route.
-func RunSwingStudy(nodeNM int) (*SwingStudyResult, error) {
-	return RunSwingStudyIn(device.BaseLab(), nodeNM)
-}
-
-// RunSwingStudyIn is RunSwingStudy against an explicit laboratory.
-func RunSwingStudyIn(lab *device.Lab, nodeNM int) (*SwingStudyResult, error) {
+func RunSwingStudy(lab *device.Lab, nodeNM int) (*SwingStudyResult, error) {
 	node, err := lab.Node(nodeNM)
 	if err != nil {
 		return nil, err

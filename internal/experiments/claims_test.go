@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nanometer/internal/cvs"
+	"nanometer/internal/device"
 	"nanometer/internal/itrs"
 	"nanometer/internal/resize"
 )
@@ -12,7 +13,7 @@ import (
 // --- C1: dynamic thermal management -------------------------------------------
 
 func TestClaimDTM(t *testing.T) {
-	r, err := DTM(50)
+	r, err := DTM(device.BaseLab(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestClaimDTM(t *testing.T) {
 // --- C2: global signaling ------------------------------------------------------
 
 func TestClaimSignaling(t *testing.T) {
-	rows, err := Signaling()
+	rows, err := Signaling(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestClaimSignaling(t *testing.T) {
 // --- C3: library optimization ---------------------------------------------------
 
 func TestClaimLibrary(t *testing.T) {
-	r, err := RunLibrary(DefaultCircuitSetup())
+	r, err := RunLibrary(device.BaseLab(), DefaultCircuitSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestClaimLibrary(t *testing.T) {
 // --- C4: clustered voltage scaling ----------------------------------------------
 
 func TestClaimCVS(t *testing.T) {
-	r, err := RunCVS(DefaultCircuitSetup())
+	r, err := RunCVS(device.BaseLab(), DefaultCircuitSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestClaimCVS(t *testing.T) {
 // --- C5: dual-Vth ----------------------------------------------------------------
 
 func TestClaimDualVth(t *testing.T) {
-	r, err := RunDualVth(DefaultCircuitSetup())
+	r, err := RunDualVth(device.BaseLab(), DefaultCircuitSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestClaimDualVth(t *testing.T) {
 // --- C6: resize vs multi-Vdd ------------------------------------------------------
 
 func TestClaimResizeVsVdd(t *testing.T) {
-	r, err := RunResizeVsVdd(DefaultCircuitSetup())
+	r, err := RunResizeVsVdd(device.BaseLab(), DefaultCircuitSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestClaimResizeVsVdd(t *testing.T) {
 // gates and the same Result, and CVS on a second downsizing must assign
 // what the shared circuit reports.
 func TestResizeDownsizeDeterministic(t *testing.T) {
-	base, err := buildCircuit(DefaultCircuitSetup())
+	base, err := buildCircuit(device.BaseLab(), DefaultCircuitSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestResizeDownsizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunResizeVsVdd(DefaultCircuitSetup())
+	r, err := RunResizeVsVdd(device.BaseLab(), DefaultCircuitSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestResizeDownsizeDeterministic(t *testing.T) {
 // --- C7: the Vdd floor -------------------------------------------------------------
 
 func TestClaimVddFloor(t *testing.T) {
-	r, err := RunVddFloor()
+	r, err := RunVddFloor(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestClaimVddFloor(t *testing.T) {
 // --- C8: bump plans -----------------------------------------------------------------
 
 func TestClaimBumps(t *testing.T) {
-	r, err := RunBumps()
+	r, err := RunBumps(device.BaseLab(), DefaultMeshN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestClaimBumps(t *testing.T) {
 // --- C9: transients and MCML ---------------------------------------------------------
 
 func TestClaimTransients(t *testing.T) {
-	r, err := RunTransients()
+	r, err := RunTransients(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}

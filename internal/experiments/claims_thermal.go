@@ -32,12 +32,7 @@ type DTMResult struct {
 }
 
 // DTM runs the C1 experiment for a node.
-func DTM(nodeNM int) (*DTMResult, error) {
-	return DTMIn(device.BaseLab(), nodeNM)
-}
-
-// DTMIn is DTM against an explicit laboratory.
-func DTMIn(lab *device.Lab, nodeNM int) (*DTMResult, error) {
+func DTM(lab *device.Lab, nodeNM int) (*DTMResult, error) {
 	node, err := lab.Node(nodeNM)
 	if err != nil {
 		return nil, err

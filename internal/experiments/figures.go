@@ -28,12 +28,7 @@ func Figure1Cases() []Figure1Case {
 // with average wiring load at 85 °C, swept over switching activity. The
 // threshold at each (node, Vdd) point is the Table 2 solution (Ion target
 // met at that supply), as in the paper's §3.1 setup.
-func Figure1(activities []float64) (*report.Figure, error) {
-	return Figure1In(device.BaseLab(), activities)
-}
-
-// Figure1In is Figure1 against an explicit laboratory.
-func Figure1In(lab *device.Lab, activities []float64) (*report.Figure, error) {
+func Figure1(lab *device.Lab, activities []float64) (*report.Figure, error) {
 	if len(activities) == 0 {
 		activities = mathx.Logspace(0.005, 0.5, 25)
 	}
@@ -82,12 +77,7 @@ type Figure2Row struct {
 }
 
 // Figure2 reproduces the dual-Vth scaling figure.
-func Figure2() ([]Figure2Row, error) {
-	return Figure2In(device.BaseLab())
-}
-
-// Figure2In is Figure2 against an explicit laboratory.
-func Figure2In(lab *device.Lab) ([]Figure2Row, error) {
+func Figure2(lab *device.Lab) ([]Figure2Row, error) {
 	var rows []Figure2Row
 	T := units.RoomTemperature
 	for _, nm := range lab.NodesNM() {
@@ -135,12 +125,7 @@ func Figure2Figure(rows []Figure2Row) *report.Figure {
 // Figure3And4 evaluates the Vth-scaling policies at 35 nm across supplies:
 // normalized delay (Figure 3) and Pdynamic/Pstatic at activity 0.1
 // (Figure 4).
-func Figure3And4(vdds []float64) (fig3, fig4 *report.Figure, err error) {
-	return Figure3And4In(device.BaseLab(), vdds)
-}
-
-// Figure3And4In is Figure3And4 against an explicit laboratory.
-func Figure3And4In(lab *device.Lab, vdds []float64) (fig3, fig4 *report.Figure, err error) {
+func Figure3And4(lab *device.Lab, vdds []float64) (fig3, fig4 *report.Figure, err error) {
 	if len(vdds) == 0 {
 		vdds = mathx.Linspace(0.2, 0.6, 17)
 	}
@@ -188,12 +173,7 @@ type Figure5Row struct {
 }
 
 // Figure5 reproduces the power-distribution scaling analysis.
-func Figure5() ([]Figure5Row, error) {
-	return Figure5In(device.BaseLab())
-}
-
-// Figure5In is Figure5 against an explicit laboratory.
-func Figure5In(lab *device.Lab) ([]Figure5Row, error) {
+func Figure5(lab *device.Lab) ([]Figure5Row, error) {
 	var rows []Figure5Row
 	for _, nm := range lab.NodesNM() {
 		node := lab.MustNode(nm)

@@ -4,13 +4,15 @@ import (
 	"encoding/csv"
 	"strings"
 	"testing"
+
+	"nanometer/internal/device"
 )
 
 // The rendering paths cmd/nanorepro relies on: tables carry the paper
 // comparison columns, figures write well-formed CSV.
 
 func TestTable1ReportRenders(t *testing.T) {
-	out := Table1Report().String()
+	out := Table1Report(device.BaseLab()).String()
 	for _, want := range []string{"[24]", "[29]", "ITRS", "Ioff (nA/µm)", "+78%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 report missing %q:\n%s", want, out)
@@ -19,7 +21,7 @@ func TestTable1ReportRenders(t *testing.T) {
 }
 
 func TestTable2ReportRenders(t *testing.T) {
-	tab, err := Table2Report()
+	tab, err := Table2Report(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestTable2ReportRenders(t *testing.T) {
 }
 
 func TestFigureCSVWellFormed(t *testing.T) {
-	fig, err := Figure1(nil)
+	fig, err := Figure1(device.BaseLab(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestFigureCSVWellFormed(t *testing.T) {
 }
 
 func TestFigure5FigureSeries(t *testing.T) {
-	rows, err := Figure5()
+	rows, err := Figure5(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"nanometer/internal/core"
 	"nanometer/internal/cvs"
+	"nanometer/internal/device"
 	"nanometer/internal/dualvth"
 	"nanometer/internal/itrs"
 	"nanometer/internal/netlist"
@@ -33,7 +34,7 @@ func robustnessSetups() []CircuitSetup {
 func TestCombinedFlowRobustAcrossSeedsAndNodes(t *testing.T) {
 	for _, s := range robustnessSetups() {
 		s := s
-		c, err := buildCircuit(s)
+		c, err := buildCircuit(device.BaseLab(), s)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
@@ -56,7 +57,7 @@ func TestCombinedFlowRobustAcrossSeedsAndNodes(t *testing.T) {
 
 func TestCVSStructureInvariantAcrossSeeds(t *testing.T) {
 	for _, s := range robustnessSetups() {
-		c, err := buildCircuit(s)
+		c, err := buildCircuit(device.BaseLab(), s)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
@@ -83,7 +84,7 @@ func TestCVSStructureInvariantAcrossSeeds(t *testing.T) {
 func TestDualVthNeverSlowsPastPeriodAcrossSeeds(t *testing.T) {
 	for _, s := range robustnessSetups() {
 		s.PeriodGuard = 1.0 // the hardest case: zero slack on the critical path
-		c, err := buildCircuit(s)
+		c, err := buildCircuit(device.BaseLab(), s)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
@@ -102,7 +103,7 @@ func TestDualVthNeverSlowsPastPeriodAcrossSeeds(t *testing.T) {
 
 func TestResizeFloorsAndTimingAcrossSeeds(t *testing.T) {
 	for _, s := range robustnessSetups() {
-		c, err := buildCircuit(s)
+		c, err := buildCircuit(device.BaseLab(), s)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
@@ -156,7 +157,7 @@ func TestDTMRobustAcrossNodes(t *testing.T) {
 	// The DTM pipeline (plant + sensor + throttle + cooling selection)
 	// must close at every nanometer node, not just the 50 nm headline.
 	for _, nm := range []int{100, 70, 50, 35} {
-		r, err := DTM(nm)
+		r, err := DTM(device.BaseLab(), nm)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
 		}
@@ -175,7 +176,7 @@ func TestDTMRobustAcrossNodes(t *testing.T) {
 
 func TestBusPlanRobustAcrossNodes(t *testing.T) {
 	for _, nm := range []int{100, 70, 50, 35} {
-		r, err := RunBusPlan(nm)
+		r, err := RunBusPlan(device.BaseLab(), nm)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
 		}

@@ -30,14 +30,9 @@ type Table1Row struct {
 // Table1 reproduces Table 1: recent published NMOS devices against ITRS
 // projections, with the paper's take-away flags (no published sub-1 V device
 // meets the Ion target; 70 nm-class devices at 1.2 V pay +78 % dynamic
-// power vs the 0.9 V roadmap supply).
-func Table1() []Table1Row {
-	return Table1In(device.BaseLab())
-}
-
-// Table1In is Table1 against an explicit laboratory: published devices are
-// compared to the laboratory's supplies rather than the base roadmap's.
-func Table1In(lab *device.Lab) []Table1Row {
+// power vs the 0.9 V roadmap supply). Published devices are compared to
+// the laboratory's supplies rather than the base roadmap's.
+func Table1(lab *device.Lab) []Table1Row {
 	var rows []Table1Row
 	for _, d := range itrs.Table1Published() {
 		label := fmt.Sprintf("%d", d.ITRSNodeNM)
@@ -76,17 +71,12 @@ func Table1In(lab *device.Lab) []Table1Row {
 }
 
 // Table1Report renders Table 1.
-func Table1Report() *report.Table {
-	return Table1ReportIn(device.BaseLab())
-}
-
-// Table1ReportIn is Table1Report against an explicit laboratory.
-func Table1ReportIn(lab *device.Lab) *report.Table {
+func Table1Report(lab *device.Lab) *report.Table {
 	t := &report.Table{
 		Title:   "Table 1. Recent NMOS device results, compared with ITRS projections",
 		Headers: []string{"Ref", "node (nm)", "Tox (Å)", "Vdd (V)", "Ion (µA/µm)", "Ioff (nA/µm)", "sub-1V+Ion?", "Pdyn penalty"},
 	}
-	for _, r := range Table1In(lab) {
+	for _, r := range Table1(lab) {
 		tox := fmt.Sprintf("%.0f", r.ToxAngstrom)
 		if r.Electrical {
 			tox += " (elec)"

@@ -53,12 +53,7 @@ func PaperTable2(nodeNM int, vdd float64) (vth, ioff, ioffMG float64, ok bool) {
 // 50 nm node again at 0.7 V), solve the threshold that meets the 750 µA/µm
 // drive target from Eqs. 2–3, then evaluate Eq. 4 leakage for the poly-gate
 // (electrical-oxide) and metal-gate device variants.
-func Table2() ([]Table2Row, error) {
-	return Table2In(device.BaseLab())
-}
-
-// Table2In is Table2 against an explicit laboratory.
-func Table2In(lab *device.Lab) ([]Table2Row, error) {
+func Table2(lab *device.Lab) ([]Table2Row, error) {
 	ref, err := lab.ForNode(180)
 	if err != nil {
 		return nil, err
@@ -114,13 +109,8 @@ func Table2In(lab *device.Lab) ([]Table2Row, error) {
 }
 
 // Table2Report renders the reproduction with paper-vs-measured columns.
-func Table2Report() (*report.Table, error) {
-	return Table2ReportIn(device.BaseLab())
-}
-
-// Table2ReportIn is Table2Report against an explicit laboratory.
-func Table2ReportIn(lab *device.Lab) (*report.Table, error) {
-	rows, err := Table2In(lab)
+func Table2Report(lab *device.Lab) (*report.Table, error) {
+	rows, err := Table2(lab)
 	if err != nil {
 		return nil, err
 	}

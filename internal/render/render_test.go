@@ -2,6 +2,7 @@ package render_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -59,13 +60,12 @@ func TestJSONReportCoversAllArtifacts(t *testing.T) {
 		t.Skip("computes the full registry")
 	}
 	arts := repro.Artifacts()
-	results, err := repro.ComputeAll(runner.Pool{}, arts, repro.Options{})
+	results, err := repro.ComputeAllCtx(context.Background(), runner.Pool{}, arts, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := &result.Report{Artifacts: results}
 	var buf bytes.Buffer
-	if err := (render.JSON{Indent: "  "}).EncodeReport(&buf, rep); err != nil {
+	if err := render.Report(&buf, "json", render.Text{}, results); err != nil {
 		t.Fatal(err)
 	}
 	var back result.Report
@@ -184,5 +184,39 @@ func TestTextUnknownClaim(t *testing.T) {
 	res.AddClaim(&result.Claim{})
 	if err := (render.Text{}).Encode(io.Discard, res); err == nil {
 		t.Fatal("unknown claim ID must error")
+	}
+}
+
+// TestReportKeepsGoingAfterAFailure: text and CSV reports skip nil
+// (uncomputed) results, keep the partial text of an artifact that fails to
+// encode, still encode the artifacts after it, and return the failure
+// prefixed with its artifact ID; an unknown format is an error.
+func TestReportKeepsGoingAfterAFailure(t *testing.T) {
+	bad := &result.Result{ID: "c99", Title: "no template"}
+	bad.AddTable(&result.Table{Title: "partial table", Headers: []string{"h"}})
+	bad.AddClaim(&result.Claim{})
+	good := &result.Result{ID: "t9", Title: "fine"}
+	good.AddTable(&result.Table{Title: "after the failure", Headers: []string{"h"}})
+	results := []*result.Result{nil, bad, good}
+
+	var txt bytes.Buffer
+	err := render.Report(&txt, "text", render.Text{}, results)
+	if err == nil || !strings.HasPrefix(err.Error(), "c99: render: no text template for claim c99") {
+		t.Fatalf("text error = %v, want c99's missing template", err)
+	}
+	for _, want := range []string{"partial table", "after the failure"} {
+		if !strings.Contains(txt.String(), want) {
+			t.Errorf("text report lacks %q:\n%s", want, txt.String())
+		}
+	}
+	var csv bytes.Buffer
+	if err := render.Report(&csv, "csv", render.Text{}, results); err != nil {
+		t.Fatalf("csv: %v", err)
+	}
+	if !strings.Contains(csv.String(), "# c99 table: partial table") || !strings.Contains(csv.String(), "# t9 table: after the failure") {
+		t.Errorf("csv report missing an artifact:\n%s", csv.String())
+	}
+	if err := render.Report(io.Discard, "xml", render.Text{}, results); err == nil {
+		t.Error("unknown format accepted")
 	}
 }

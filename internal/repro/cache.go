@@ -24,7 +24,7 @@ type cacheState struct {
 
 // cache memoizes computed artifact results for the life of the process,
 // keyed by artifact ID + compute-options hash. Entries are once-cells (the
-// device.ForNode pattern): concurrent renders of the same artifact share
+// device.ForNode pattern): concurrent requests for the same artifact share
 // one computation, and every consumer — text, JSON, CSV encoders, the HTTP
 // serving layer — reads the same immutable result.
 var cache atomic.Pointer[cacheState]
@@ -255,10 +255,10 @@ func (a Artifact) storePut(opts Options, res *result.Result) {
 	storePuts.Add(1)
 }
 
-// computeKey hashes the options that reach the models. CSVDir, Plot,
-// Verbose, NoCache, and CacheOnly only affect encoding (or cache policy)
-// and are deliberately excluded, so every encoding of one artifact shares
-// a single cache entry. Any compute-side option (today: MeshN and
+// computeKey hashes the options that reach the models. NoCache and
+// CacheOnly only affect cache policy and are deliberately excluded, and
+// encoding settings are not Options at all, so every encoding of one
+// artifact shares a single cache entry. Any compute-side option (today: MeshN and
 // Scenario) must be written into this hash or the cache will serve stale
 // results — TestComputeKeyCoversOptions enforces the classification by
 // reflection, so adding a field to Options without teaching it to that

@@ -5,8 +5,19 @@ import (
 	"sync"
 	"testing"
 
+	"nanometer/internal/render"
 	"nanometer/internal/result"
 )
+
+// renderText computes a through the cache and encodes it as report text,
+// the two steps one artifact request takes.
+func renderText(a Artifact) error {
+	res, err := a.ComputeCached(Options{})
+	if err != nil {
+		return err
+	}
+	return render.Text{}.Encode(io.Discard, res)
+}
 
 func mustOne(tb testing.TB, id string) Artifact {
 	tb.Helper()
@@ -34,13 +45,13 @@ func TestComputeCachedReturnsSameResult(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("second ComputeCached recomputed instead of serving the cache")
 	}
-	// Encode-only options must share the compute entry.
-	r3, err := a.ComputeCached(Options{Plot: true, Verbose: true, CSVDir: "zzz"})
+	// Cache-policy options must share the compute entry.
+	r3, err := a.ComputeCached(Options{CacheOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r3 {
-		t.Fatal("encode-only options must not fork the compute cache")
+		t.Fatal("cache-policy options must not fork the compute cache")
 	}
 	r4, err := a.ComputeCached(Options{NoCache: true})
 	if err != nil {
@@ -59,7 +70,7 @@ func TestConcurrentRendersShareOneCompute(t *testing.T) {
 	const n = 16
 	done := make(chan error, n)
 	for i := 0; i < n; i++ {
-		go func() { done <- a.Render(io.Discard, Options{}) }()
+		go func() { done <- renderText(a) }()
 	}
 	for i := 0; i < n; i++ {
 		if err := <-done; err != nil {
@@ -216,20 +227,20 @@ func BenchmarkArtifactCache(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ResetCache()
-			if err := a.Render(io.Discard, Options{}); err != nil {
+			if err := renderText(a); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		ResetCache()
-		if err := a.Render(io.Discard, Options{}); err != nil {
+		if err := renderText(a); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := a.Render(io.Discard, Options{}); err != nil {
+			if err := renderText(a); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -53,7 +53,7 @@ func computeTable1(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tableResult(fromReportTable(experiments.Table1ReportIn(lab))), nil
+	return tableResult(fromReportTable(experiments.Table1Report(lab))), nil
 }
 
 func computeTable2(opts Options) (*result.Result, error) {
@@ -61,7 +61,7 @@ func computeTable2(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := experiments.Table2ReportIn(lab)
+	t, err := experiments.Table2Report(lab)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func computeFigure1(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fig, err := experiments.Figure1In(lab, nil)
+	fig, err := experiments.Figure1(lab, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func computeFigure2(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := experiments.Figure2In(lab)
+	rows, err := experiments.Figure2(lab)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func computeFigure3(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fig3, _, err := experiments.Figure3And4In(lab, nil)
+	fig3, _, err := experiments.Figure3And4(lab, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func computeFigure4(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, fig4, err := experiments.Figure3And4In(lab, nil)
+	_, fig4, err := experiments.Figure3And4(lab, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func computeFigure5(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := experiments.Figure5In(lab)
+	rows, err := experiments.Figure5(lab)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func computeC1(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.DTMIn(lab, 50)
+	r, err := experiments.DTM(lab, 50)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +204,7 @@ func computeC2(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := experiments.SignalingIn(lab)
+	rows, err := experiments.Signaling(lab)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +237,7 @@ func computeC3(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunLibraryIn(lab, experiments.DefaultCircuitSetup())
+	r, err := experiments.RunLibrary(lab, experiments.DefaultCircuitSetup())
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +262,7 @@ func computeC4(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunCVSIn(lab, experiments.DefaultCircuitSetup())
+	r, err := experiments.RunCVS(lab, experiments.DefaultCircuitSetup())
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +287,7 @@ func computeC5(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunDualVthIn(lab, experiments.DefaultCircuitSetup())
+	r, err := experiments.RunDualVth(lab, experiments.DefaultCircuitSetup())
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +306,7 @@ func computeC6(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunResizeVsVddIn(lab, experiments.DefaultCircuitSetup())
+	r, err := experiments.RunResizeVsVdd(lab, experiments.DefaultCircuitSetup())
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +329,7 @@ func computeC7(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunVddFloorIn(lab)
+	r, err := experiments.RunVddFloor(lab)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +347,7 @@ func computeC8(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunBumpsNIn(lab, opts.MeshN)
+	r, err := experiments.RunBumps(lab, opts.MeshN)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +372,7 @@ func computeC9(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunTransientsIn(lab)
+	r, err := experiments.RunTransients(lab)
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +399,7 @@ func computeC10(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunStackVthIn(lab, 70)
+	r, err := experiments.RunStackVth(lab, 70)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +423,7 @@ func computeC11(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunStandbyIn(lab)
+	r, err := experiments.RunStandby(lab)
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +456,7 @@ func computeC12(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunSwingStudyIn(lab, 50)
+	r, err := experiments.RunSwingStudy(lab, 50)
 	if err != nil {
 		return nil, err
 	}
@@ -484,7 +484,7 @@ func computeC13(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.RunBusPlanIn(lab, 50)
+	r, err := experiments.RunBusPlan(lab, 50)
 	if err != nil {
 		return nil, err
 	}

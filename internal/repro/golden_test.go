@@ -2,13 +2,13 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"nanometer/internal/render"
-	"nanometer/internal/result"
 	"nanometer/internal/runner"
 )
 
@@ -23,18 +23,8 @@ func TestGoldenFullReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report render is slow; run without -short")
 	}
-	render := func(workers int) []byte {
-		var buf bytes.Buffer
-		results, err := (runner.Pool{Workers: workers}).RunTo(&buf, Jobs(Artifacts(), Options{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runner.Errs(results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	got := render(1)
+	renderText := func(workers int) []byte { return mustReport(t, workers, "text", render.Text{}, Artifacts()) }
+	got := renderText(1)
 	path := filepath.Join("testdata", "report.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -50,32 +40,18 @@ func TestGoldenFullReport(t *testing.T) {
 		t.Fatalf("missing golden file (regenerate with -args -update): %v", err)
 	}
 	compareGolden(t, "jobs=1", got, want)
-	compareGolden(t, "jobs=8", render(8), want)
+	compareGolden(t, "jobs=8", renderText(8), want)
 }
 
 // TestGoldenJSONReport pins the default `-format json` document byte for
 // byte: the full report marshaled with two-space indent, exactly as
-// cmd/nanorepro emits it. With the scenario engine in place, the nil
+// cmd/nanorepro emits it through render.Report. With the scenario engine in place, the nil
 // scenario must add no field ("scenario" is omitempty) and change no value.
 func TestGoldenJSONReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report compute is slow; run without -short")
 	}
-	renderJSON := func(workers int) []byte {
-		results, err := ComputeAll(runner.Pool{Workers: workers}, Artifacts(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := &result.Report{}
-		for _, r := range results {
-			rep.Artifacts = append(rep.Artifacts, r)
-		}
-		var buf bytes.Buffer
-		if err := (render.JSON{Indent: "  "}).EncodeReport(&buf, rep); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	renderJSON := func(workers int) []byte { return mustReport(t, workers, "json", render.Text{}, Artifacts()) }
 	got := renderJSON(1)
 	path := filepath.Join("testdata", "report.golden.json")
 	if *updateGolden {
@@ -98,17 +74,7 @@ func TestGoldenCSVReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report compute is slow; run without -short")
 	}
-	renderCSV := func(workers int) []byte {
-		var buf bytes.Buffer
-		results, err := (runner.Pool{Workers: workers}).RunTo(&buf, EncodeJobs(Artifacts(), Options{}, render.CSV{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runner.Errs(results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	renderCSV := func(workers int) []byte { return mustReport(t, workers, "csv", render.Text{}, Artifacts()) }
 	got := renderCSV(1)
 	path := filepath.Join("testdata", "report.golden.csv")
 	if *updateGolden {
@@ -123,6 +89,22 @@ func TestGoldenCSVReport(t *testing.T) {
 	}
 	compareGolden(t, "csv jobs=1", got, want)
 	compareGolden(t, "csv jobs=8", renderCSV(8), want)
+}
+
+// mustReport computes arts under the base options on a pool of workers and
+// encodes them in format: the two steps of a `nanorepro -format <format>`
+// run.
+func mustReport(t *testing.T, workers int, format string, text render.Text, arts []Artifact) []byte {
+	t.Helper()
+	results, err := ComputeAllCtx(context.Background(), runner.Pool{Workers: workers}, arts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := render.Report(&buf, format, text, results); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // compareGolden reports the first differing line, not just "differs" — the

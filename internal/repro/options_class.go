@@ -2,7 +2,8 @@ package repro
 
 // Every Options field must be explicitly classified. computeSide fields
 // reach the models and MUST be hashed by computeKey; encodeOnly fields
-// affect encoding or cache policy only and MUST NOT be. The classification
+// affect cache policy only and MUST NOT be (encoding settings are not
+// Options fields at all: they live on render.Text). The classification
 // lives here in the package proper — not in a test file — because two
 // guards read it: TestComputeKeyCoversOptions (options_guard_test.go)
 // perturbs each field at run time and checks computeKey actually reacts
@@ -16,9 +17,6 @@ var (
 		"Scenario": true,
 	}
 	encodeOnlyFields = map[string]bool{
-		"CSVDir":    true,
-		"Plot":      true,
-		"Verbose":   true,
 		"NoCache":   true,
 		"CacheOnly": true,
 	}

@@ -1,20 +1,21 @@
 // Package repro is the artifact registry of the reproduction harness: one
 // entry per table, figure, and quantified claim of the paper. Each artifact
-// is split into two layers: Compute produces a typed, JSON-serializable
-// result (internal/result) from the model stack, and the encoders of
-// internal/render turn that result into terminal text, JSON, or CSV.
+// computes a typed, JSON-serializable result (internal/result) from the
+// model stack; turning results into terminal text, JSON, or CSV is the
+// caller's second step (render.Report), so this package never encodes.
 // Compute is pure and deterministic, so results are memoized in a
 // process-wide cache (artifact ID + compute-options hash) — repeated
-// renders in one process, the shape a serving layer produces, compute each
-// artifact once. Artifacts are independent of each other and safe to run
-// concurrently on the runner pool with deterministic, serially-identical
-// output. cmd/nanorepro is a thin flag-parsing shell around this package;
-// bench_test.go drives the same registry for the full-report speedup
-// measurement.
+// requests in one process, the shape a serving layer produces, compute each
+// artifact once. Artifacts are independent of each other and run
+// concurrently on the runner pool through one scheduler, Sweep,
+// which settles results in a deterministic order for any worker count.
+// cmd/nanorepro and internal/serve are thin shells around this package;
+// bench_test.go drives the same registry for the full-report measurement.
 package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -22,24 +23,18 @@ import (
 
 	"nanometer/internal/device"
 	"nanometer/internal/powergrid"
-	"nanometer/internal/render"
 	"nanometer/internal/result"
 	"nanometer/internal/runner"
 	"nanometer/internal/scenario"
 )
 
-// Options configures a run. The zero value reproduces the plain
-// `nanorepro` output: compact figure dumps, no CSVs, cached compute.
+// Options configures what a run computes. The zero value computes the
+// base roadmap through the cache — the plain `nanorepro` report. How the
+// results are encoded (figure CSVs, plots, verbose checks) is not an
+// option here: those settings are render.Text fields.
 type Options struct {
-	// CSVDir, when non-empty, is the directory figure CSVs are written to
-	// by the text encoder.
-	CSVDir string
-	// Plot renders terminal plots instead of compact figure summaries.
-	Plot bool
-	// Verbose appends each claim's paper checks to the text output.
-	Verbose bool
 	// NoCache bypasses the process-wide result cache, forcing every
-	// render to recompute (benchmarks, freshness-critical callers).
+	// request to recompute (benchmarks, freshness-critical callers).
 	NoCache bool
 	// CacheOnly makes ComputeCached answer from the in-memory cache or
 	// the result store only, returning ErrUncomputed instead of running
@@ -156,26 +151,6 @@ func applyScenarioChecks(res *result.Result, s *scenario.Scenario) error {
 	return nil
 }
 
-// Render computes the artifact (through the cache unless opts.NoCache) and
-// encodes it as terminal text — the legacy single-call path.
-func (a Artifact) Render(w io.Writer, opts Options) error {
-	res, err := a.ComputeCached(opts)
-	if err != nil {
-		return err
-	}
-	return textEncoder(opts).Encode(w, res)
-}
-
-func textEncoder(opts Options) render.Text {
-	return render.Text{CSVDir: opts.CSVDir, Plot: opts.Plot, Verbose: opts.Verbose}
-}
-
-// Encoder turns one typed artifact result into bytes. internal/render
-// provides the implementations (Text, JSON, CSV).
-type Encoder interface {
-	Encode(w io.Writer, res *result.Result) error
-}
-
 // Artifacts returns the full registry in canonical emission order.
 func Artifacts() []Artifact {
 	return []Artifact{
@@ -237,56 +212,55 @@ func Select(ids []string) ([]Artifact, error) {
 	return sel, nil
 }
 
-// Jobs adapts artifacts to runner jobs rendering the legacy text report
-// with opts bound in.
-func Jobs(arts []Artifact, opts Options) []runner.Job {
-	return EncodeJobs(arts, opts, textEncoder(opts))
-}
-
-// EncodeJobs adapts artifacts to runner jobs that compute (through the
-// cache unless opts.NoCache) and encode with enc.
-func EncodeJobs(arts []Artifact, opts Options, enc Encoder) []runner.Job {
-	jobs := make([]runner.Job, len(arts))
-	for i, a := range arts {
-		a := a
-		jobs[i] = runner.Job{ID: a.ID, Run: func(w io.Writer) error {
-			res, err := a.ComputeCached(opts)
-			if err != nil {
-				return err
-			}
-			return enc.Encode(w, res)
-		}}
-	}
-	return jobs
-}
-
-// ComputeAll computes the artifacts on the pool without encoding anything,
-// returning the results in registry order. A failed artifact leaves a nil
-// slot; the per-artifact failures are aggregated in the returned error and
-// the healthy results are still usable.
-func ComputeAll(pool runner.Pool, arts []Artifact, opts Options) ([]*result.Result, error) {
-	// Compat wrapper for the CLI path, which runs to completion by design;
-	// cancelable callers use ComputeAllCtx.
-	//lint:allow ctxflow uncancelable CLI compat shim over ComputeAllCtx
-	return ComputeAllCtx(context.Background(), pool, arts, opts)
-}
-
-// ComputeAllCtx is ComputeAll with cancellation: artifacts that have not
-// started when ctx is canceled are skipped (their slots stay nil and the
-// aggregate error carries ctx's error per skipped artifact). In-flight
-// computes finish normally so the cache is never poisoned by a partial
-// result.
+// ComputeAllCtx computes the artifacts under opts on the pool and returns
+// the results in registry order: the one-variant Sweep. A failed or
+// skipped artifact leaves a nil slot; the per-artifact failures are
+// aggregated in the returned error and the healthy results are still
+// usable.
 func ComputeAllCtx(ctx context.Context, pool runner.Pool, arts []Artifact, opts Options) ([]*result.Result, error) {
-	out := make([]*result.Result, len(arts))
-	jobs := make([]runner.Job, len(arts))
-	for i, a := range arts {
-		i, a := i, a
-		jobs[i] = runner.Job{ID: a.ID, Run: func(io.Writer) error {
-			res, err := a.ComputeCached(opts)
-			out[i] = res
-			return err
-		}}
+	var out []*result.Result
+	var err error
+	Sweep(ctx, pool, arts, opts, []*scenario.Scenario{opts.Scenario}, func(_ int, res []*result.Result, e error) {
+		out, err = res, e
+	})
+	return out, err
+}
+
+// Sweep computes arts under every variant — opts with its Scenario
+// replaced by the variant (nil is the base roadmap) — in one pool run over
+// the variant-major variant × artifact grid, so workers stay busy across
+// variant boundaries. emit is called exactly once per variant (never when
+// arts is empty), in grid order, on the caller's goroutine, as soon as
+// that variant's artifacts have all settled: res holds the results in artifact order with nil
+// slots for failures, err joins the failures, each prefixed with its
+// artifact ID. Artifacts that have not started when ctx is canceled are
+// skipped and settle with ctx's error; an artifact that panics settles
+// with a "compute panicked" error. Computes already running finish (and
+// land in the cache), and Sweep returns only after the last of them has.
+func Sweep(ctx context.Context, pool runner.Pool, arts []Artifact, opts Options, variants []*scenario.Scenario, emit func(i int, res []*result.Result, err error)) {
+	n := len(arts)
+	out := make([]*result.Result, len(variants)*n)
+	jobs := make([]runner.Job, 0, len(out))
+	for _, v := range variants {
+		vo := opts
+		vo.Scenario = v
+		for _, a := range arts {
+			k := len(jobs)
+			jobs = append(jobs, runner.Job{ID: a.ID, Run: func(io.Writer) (err error) {
+				out[k], err = a.ComputeCached(vo)
+				return err
+			}})
+		}
 	}
-	results, _ := pool.RunToContext(ctx, nil, jobs)
-	return out, runner.Errs(results)
+	var errs []error
+	pool.RunEach(ctx, jobs, func(k int, r runner.Result) {
+		if r.Err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", r.ID, r.Err))
+		}
+		if k%n == n-1 {
+			i := k / n
+			emit(i, out[i*n:(i+1)*n:(i+1)*n], errors.Join(errs...))
+			errs = nil
+		}
+	})
 }

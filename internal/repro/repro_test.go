@@ -2,12 +2,16 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"nanometer/internal/render"
 	"nanometer/internal/result"
 	"nanometer/internal/runner"
 )
@@ -23,19 +27,13 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		}
 		arts = sel
 	}
-	var opts Options
-	var serial, parallel bytes.Buffer
-	if _, err := (runner.Pool{Workers: 1}).RunTo(&serial, Jobs(arts, opts)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (runner.Pool{Workers: 8}).RunTo(&parallel, Jobs(arts, opts)); err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() == 0 {
+	serial := mustReport(t, 1, "text", render.Text{}, arts)
+	parallel := mustReport(t, 8, "text", render.Text{}, arts)
+	if len(serial) == 0 {
 		t.Fatal("report rendered no output")
 	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Fatalf("parallel report differs from serial (%d vs %d bytes)", parallel.Len(), serial.Len())
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("parallel report differs from serial (%d vs %d bytes)", len(parallel), len(serial))
 	}
 }
 
@@ -74,25 +72,20 @@ func TestCSVFailureIsAggregatedNotFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{CSVDir: filepath.Join(blocker, "sub")} // Create() must fail
-	var out bytes.Buffer
-	results, sinkErr := (runner.Pool{Workers: 4}).RunTo(&out, Jobs(arts, opts))
-	if sinkErr != nil {
-		t.Fatal(sinkErr)
+	results, err := ComputeAllCtx(context.Background(), runner.Pool{Workers: 4}, arts, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	agg := runner.Errs(results)
+	text := render.Text{CSVDir: filepath.Join(blocker, "sub")} // Create() must fail
+	var out bytes.Buffer
+	agg := render.Report(&out, "text", text, results)
 	if agg == nil {
 		t.Fatal("CSV failure must surface in the aggregate")
 	}
-	if !strings.Contains(agg.Error(), "f2:") {
-		t.Fatalf("aggregate %q does not name the broken artifact", agg.Error())
-	}
-	// t1 and c7 write no CSVs and must succeed; f2's table text precedes the
-	// CSV step and is still emitted.
-	for _, r := range results {
-		if r.ID != "f2" && r.Err != nil {
-			t.Fatalf("artifact %s failed: %v", r.ID, r.Err)
-		}
+	// t1 and c7 write no CSVs and must succeed; f2's table text precedes
+	// the CSV step and is still emitted.
+	if msg := agg.Error(); !strings.HasPrefix(msg, "f2: ") || strings.Contains(msg, "\n") {
+		t.Fatalf("aggregate %q must name exactly the broken artifact", msg)
 	}
 	if !strings.Contains(out.String(), "Figure 2 (as data)") {
 		t.Fatal("partial output of the failed artifact was dropped")
@@ -110,14 +103,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	results, sinkErr := (runner.Pool{}).RunTo(&out, Jobs(arts, Options{CSVDir: dir}))
-	if sinkErr != nil {
-		t.Fatal(sinkErr)
-	}
-	if err := runner.Errs(results); err != nil {
-		t.Fatal(err)
-	}
+	out := mustReport(t, 0, "text", render.Text{CSVDir: dir}, arts)
 	csv, err := os.ReadFile(filepath.Join(dir, "figure2.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -125,13 +111,13 @@ func TestCSVRoundTrip(t *testing.T) {
 	if len(csv) == 0 {
 		t.Fatal("empty CSV")
 	}
-	if !strings.Contains(out.String(), "wrote "+filepath.Join(dir, "figure2.csv")) {
+	if !strings.Contains(string(out), "wrote "+filepath.Join(dir, "figure2.csv")) {
 		t.Fatal("CSV write not announced in the report")
 	}
 }
 
 // sanity: artifacts must not write to anything but w (no stray os.Stdout
-// prints), which the byte-identity test can't see. Render one artifact and
+// prints), which the byte-identity test can't see. Encode one artifact and
 // confirm output lands only in the buffer.
 func TestRenderersWriteOnlyToWriter(t *testing.T) {
 	for _, a := range Artifacts() {
@@ -143,12 +129,8 @@ func TestRenderersWriteOnlyToWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := arts[0].Render(&buf, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "C7.") {
-		t.Fatalf("unexpected C7 output %q", buf.String())
+	if out := mustReport(t, 1, "text", render.Text{}, arts); !strings.HasPrefix(string(out), "C7.") {
+		t.Fatalf("unexpected C7 output %q", out)
 	}
 }
 
@@ -167,19 +149,94 @@ func fakeArtifact(id, marker string, err error) Artifact {
 	}}
 }
 
-// TestJobsBindOptions: Jobs must close over each artifact independently (the
-// classic range-variable trap would render the last artifact N times), and
-// per-artifact compute errors must reach the job results.
-func TestJobsBindOptions(t *testing.T) {
+// TestSweepBindsEachArtifact: the sweep must close over each
+// artifact and each variant independently (the classic range-variable trap
+// would compute the last one N times), and per-artifact compute errors
+// must reach the variant's error with the artifact's ID, leaving a nil slot.
+func TestSweepBindsEachArtifact(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
 	arts := []Artifact{
 		fakeArtifact("fake-a", "marker-A", nil),
 		fakeArtifact("fake-b", "marker-B", errSentinel),
 	}
-	results := (runner.Pool{Workers: 2}).Run(Jobs(arts, Options{}))
-	if !strings.Contains(string(results[0].Output), "marker-A") || len(results[1].Output) != 0 {
-		t.Fatalf("outputs %q, %q", results[0].Output, results[1].Output)
+	variants := sweepVariants(t, 2)
+	var got []string
+	Sweep(context.Background(), runner.Pool{Workers: 2}, arts, Options{}, variants, func(i int, res []*result.Result, err error) {
+		if len(res) != 2 || res[0] == nil || res[1] != nil {
+			t.Fatalf("variant %d results %v, want one result then a nil slot", i, res)
+		}
+		got = append(got, res[0].Scenario+" "+res[0].Items[0].Table.Title)
+		if !errors.Is(err, errSentinel) || !strings.HasPrefix(err.Error(), "fake-b: ") {
+			t.Fatalf("variant %d error %v, want fake-b's sentinel", i, err)
+		}
+	})
+	want := []string{variants[0].Name + " marker-A", variants[1].Name + " marker-A"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("emitted %v, want %v", got, want)
 	}
-	if results[0].Err != nil || !errors.Is(results[1].Err, errSentinel) {
-		t.Fatalf("errors %v, %v", results[0].Err, results[1].Err)
+}
+
+// TestSweepCancelFromEmit cancels the sweep from inside variant 0's
+// emit: every variant is still emitted exactly once and in grid order, the
+// artifacts that had not started settle with context.Canceled and a nil
+// slot, and the call returns once the computes already running finish.
+func TestSweepCancelFromEmit(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	release := make(chan struct{})
+	var (
+		mu      sync.Mutex
+		started = map[string]bool{}
+	)
+	art := func(id string) Artifact {
+		return Artifact{ID: id, Title: id, Compute: func(opts Options) (*result.Result, error) {
+			mu.Lock()
+			started[id+"@"+opts.Scenario.Name] = true
+			mu.Unlock()
+			if !strings.HasSuffix(opts.Scenario.Name, "=0.800") {
+				<-release // later variants hold their workers until the cancel
+			}
+			res := &result.Result{}
+			res.AddTable(&result.Table{Title: id, Headers: []string{"x"}})
+			return res, nil
+		}}
+	}
+	arts := []Artifact{art("x1"), art("x2")}
+	variants := sweepVariants(t, 5)
+	var order []int
+	Sweep(ctx, runner.Pool{Workers: 2}, arts, Options{}, variants, func(i int, res []*result.Result, err error) {
+		order = append(order, i)
+		if i == 0 {
+			cancel()
+			close(release)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for ai, a := range arts {
+			ran := started[a.ID+"@"+variants[i].Name]
+			if ran && res[ai] == nil {
+				t.Errorf("variant %d: started artifact %s has no result", i, a.ID)
+			}
+			if !ran && (res[ai] != nil || !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), a.ID+": context canceled")) {
+				t.Errorf("variant %d: unstarted artifact %s settled with %v, want context.Canceled", i, a.ID, err)
+			}
+		}
+	})
+	if fmt.Sprint(order) != "[0 1 2 3 4]" {
+		t.Fatalf("emit order %v, want each variant once in grid order", order)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	// Only the two workers' claims can outlive the cancel: variant 0 and
+	// at most one variant behind it ever start.
+	for _, v := range variants[2:] {
+		for _, a := range arts {
+			if started[a.ID+"@"+v.Name] {
+				t.Errorf("%s@%s started after the sweep was canceled", a.ID, v.Name)
+			}
+		}
 	}
 }

@@ -2,9 +2,12 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"nanometer/internal/powergrid"
+	"nanometer/internal/render"
+	"nanometer/internal/result"
 	"nanometer/internal/runner"
 	"nanometer/internal/scenario"
 )
@@ -32,38 +35,41 @@ func itoa(n int) string {
 	return string(rune('0'+n/10)) + string(rune('0'+n%10))
 }
 
-// TestVariantJobsMatchSequentialBytes pins the CLI contract the flattening
-// must preserve: one flattened pool run over variants × artifacts emits
-// the exact bytes of the historical run-each-variant-sequentially loop,
-// at any worker count.
-func TestVariantJobsMatchSequentialBytes(t *testing.T) {
+// sweepText runs one Sweep and encodes each variant as report text
+// the moment it is emitted — the CLI's sweep path.
+func sweepText(t *testing.T, workers int, arts []Artifact, variants []*scenario.Scenario) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	Sweep(context.Background(), runner.Pool{Workers: workers}, arts, Options{}, variants, func(i int, res []*result.Result, err error) {
+		if err != nil {
+			t.Fatalf("variant %d: %v", i, err)
+		}
+		if err := render.Report(&out, "text", render.Text{}, res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return out.Bytes()
+}
+
+// TestSweepMatchesSequentialBytes pins the CLI contract the single sweep
+// run must preserve: one pool run over variants × artifacts emits the
+// exact bytes of running each variant on its own, one after another, at
+// any worker count.
+func TestSweepMatchesSequentialBytes(t *testing.T) {
 	ResetCache()
 	variants := sweepVariants(t, 3)
 	arts, err := Select([]string{"t1", "c8"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{}
 	var sequential bytes.Buffer
 	for _, v := range variants {
-		vo := opts
-		vo.Scenario = v
-		if _, err := (runner.Pool{Workers: 1}).RunTo(&sequential, Jobs(arts, vo)); err != nil {
-			t.Fatal(err)
-		}
+		sequential.Write(sweepText(t, 1, arts, []*scenario.Scenario{v}))
 	}
 	for _, workers := range []int{1, 8} {
 		ResetCache()
-		var flat bytes.Buffer
-		jobs := VariantJobs(arts, opts, variants, nil)
-		if len(jobs) != len(arts)*len(variants) {
-			t.Fatalf("got %d jobs, want %d", len(jobs), len(arts)*len(variants))
-		}
-		if _, err := (runner.Pool{Workers: workers}).RunTo(&flat, jobs); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(flat.Bytes(), sequential.Bytes()) {
-			t.Fatalf("workers=%d: flattened sweep output diverges from the sequential loop", workers)
+		if !bytes.Equal(sweepText(t, workers, arts, variants), sequential.Bytes()) {
+			t.Fatalf("workers=%d: the sweep's output diverges from the sequential loop", workers)
 		}
 	}
 }
@@ -83,9 +89,7 @@ func TestSweepSharedMeshSolvesOnce(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		before := powergrid.ReadSolveStats()
-		if _, err := ComputeAllVariants(runner.Pool{Workers: 2}, arts, Options{}, variants); err != nil {
-			t.Fatal(err)
-		}
+		sweepText(t, 2, arts, variants)
 		after := powergrid.ReadSolveStats()
 		if solves, hits := after.Solves-before.Solves, after.MemoHits-before.MemoHits; solves != 1 || hits != 2 {
 			t.Errorf("round %d: sweep recorded %d solves and %d memo hits, want 1 and 2", round, solves, hits)

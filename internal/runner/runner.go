@@ -47,35 +47,40 @@ func (p Pool) workers() int {
 	return runtime.NumCPU()
 }
 
-// Run executes every job and returns the results in submission order. Job
-// panics are recovered into errors so a crashing artifact cannot take down
-// the remaining jobs.
-func (p Pool) Run(jobs []Job) []Result {
-	results, _ := p.RunTo(nil, jobs)
-	return results
-}
-
-// RunTo is Run with streaming emission: each job's output is copied to sink
-// as soon as the job and all jobs before it have finished, so the sink sees
-// the exact byte sequence of a serial run regardless of worker count or
-// completion order. A nil sink skips emission (output stays in the results).
-// The returned error reports sink write failures only; per-job errors are in
-// the results (aggregate them with Errs).
-func (p Pool) RunTo(sink io.Writer, jobs []Job) ([]Result, error) {
-	// Compat wrapper for the CLI path, which runs to completion by design;
-	// cancelable callers use RunToContext.
-	//lint:allow ctxflow uncancelable CLI compat shim over RunToContext
-	return p.RunToContext(context.Background(), sink, jobs)
-}
-
-// RunToContext is RunTo with cancellation: jobs that have not started when
-// ctx is canceled are skipped and record ctx's error instead of running.
-// Jobs already executing run to completion (they hold gate/pool resources
-// that must wind down normally), so a canceled run still returns one Result
-// per job in submission order. Jobs start in submission order — each
-// worker claims the next unclaimed job — so the first results, the ones
-// the sink is waiting for, are the first to be computed.
+// RunToContext runs every job and returns the results in submission order,
+// with streaming emission: each job's output is copied to sink as soon as
+// the job and all jobs before it have finished, so the sink sees the exact
+// byte sequence of a serial run regardless of worker count or completion
+// order. A nil sink skips emission (output stays in the results). The
+// returned error reports sink write failures only; per-job errors are in
+// the results (aggregate them with Errs). Cancellation follows RunEach.
 func (p Pool) RunToContext(ctx context.Context, sink io.Writer, jobs []Job) ([]Result, error) {
+	results := make([]Result, len(jobs))
+	var sinkErr error
+	p.RunEach(ctx, jobs, func(i int, r Result) {
+		results[i] = r
+		if sink == nil || sinkErr != nil {
+			return
+		}
+		if _, err := sink.Write(r.Output); err != nil {
+			// Keep draining the remaining jobs (they are already running)
+			// but stop writing to a broken sink.
+			sinkErr = fmt.Errorf("runner: writing output of %s: %w", r.ID, err)
+		}
+	})
+	return results, sinkErr
+}
+
+// RunEach runs every job and calls settled once per job, in submission
+// order, on the caller's goroutine: job i settles as soon as it and every
+// job before it have finished. Jobs that have not started when ctx is
+// canceled are skipped and settle with ctx's error. Jobs already executing
+// run to completion (they hold gate/pool resources that must wind down
+// normally), and RunEach returns only after the last of them has. Jobs
+// start in submission order — each worker claims the next unclaimed job —
+// so the first jobs to settle are the first to be computed. Job panics are
+// recovered into errors so a crashing job cannot take down the others.
+func (p Pool) RunEach(ctx context.Context, jobs []Job, settled func(i int, r Result)) {
 	n := len(jobs)
 	results := make([]Result, n)
 	done := make([]chan struct{}, n)
@@ -105,28 +110,18 @@ func (p Pool) RunToContext(ctx context.Context, sink io.Writer, jobs []Job) ([]R
 			}
 		}()
 	}
-
-	var sinkErr error
 	for i := 0; i < n; i++ {
 		<-done[i]
-		if sink == nil || sinkErr != nil {
-			continue
-		}
-		if _, err := sink.Write(results[i].Output); err != nil {
-			// Keep draining the remaining jobs (they are already running)
-			// but stop writing to a broken sink.
-			sinkErr = fmt.Errorf("runner: writing output of %s: %w", results[i].ID, err)
-		}
+		settled(i, results[i])
 	}
 	wg.Wait()
-	return results, sinkErr
 }
 
 // runJob invokes the job with panic recovery.
 func runJob(j Job, w io.Writer) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
+			err = fmt.Errorf("compute panicked: %v", r)
 		}
 	}()
 	return j.Run(w)

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -34,10 +35,10 @@ func spinJobs(n int) []Job {
 func TestRunToPreservesOrder(t *testing.T) {
 	jobs := spinJobs(16)
 	var serial, parallel bytes.Buffer
-	if _, err := (Pool{Workers: 1}).RunTo(&serial, jobs); err != nil {
+	if _, err := (Pool{Workers: 1}).RunToContext(context.Background(), &serial, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Pool{Workers: 8}).RunTo(&parallel, jobs); err != nil {
+	if _, err := (Pool{Workers: 8}).RunToContext(context.Background(), &parallel, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {
@@ -74,7 +75,7 @@ func TestBoundedConcurrency(t *testing.T) {
 			return nil
 		}}
 	}
-	Pool{Workers: workers}.Run(jobs)
+	Pool{Workers: workers}.RunToContext(context.Background(), nil, jobs)
 	if p := peak.Load(); p > workers {
 		t.Fatalf("observed %d concurrent jobs, pool bound is %d", p, workers)
 	}
@@ -89,7 +90,7 @@ func TestErrorsDoNotAbortOtherJobs(t *testing.T) {
 		{ID: "ok2", Run: func(w io.Writer) error { fmt.Fprintln(w, "two"); return nil }},
 	}
 	var out bytes.Buffer
-	results, err := Pool{Workers: 4}.RunTo(&out, jobs)
+	results, err := Pool{Workers: 4}.RunToContext(context.Background(), &out, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 
 func TestSinkErrorReported(t *testing.T) {
 	jobs := spinJobs(4)
-	_, err := Pool{Workers: 2}.RunTo(&failWriter{after: 1}, jobs)
+	_, err := Pool{Workers: 2}.RunToContext(context.Background(), &failWriter{after: 1}, jobs)
 	if err == nil || !strings.Contains(err.Error(), "sink closed") {
 		t.Fatalf("sink failure not reported: %v", err)
 	}
@@ -158,7 +159,7 @@ func TestJobsStartInSubmissionOrder(t *testing.T) {
 	}
 	finished := make(chan struct{})
 	go func() {
-		Pool{Workers: workers}.Run(jobs)
+		Pool{Workers: workers}.RunToContext(context.Background(), nil, jobs)
 		close(finished)
 	}()
 	first := map[int]bool{<-started: true, <-started: true}

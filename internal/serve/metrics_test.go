@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	jobsvc "nanometer/internal/jobs"
@@ -41,14 +44,14 @@ func TestLabelHelpersBound(t *testing.T) {
 }
 
 // TestEncodeReportHonorsCancel: a report request whose context is already
-// canceled must not launch artifact computes — the fix that threaded ctx
-// from the handler into the report encoder.
+// canceled must not launch artifact computes — the handler threads the
+// request ctx through the report's compute into the pool.
 func TestEncodeReportHonorsCancel(t *testing.T) {
 	repro.ResetCache()
 	defer repro.ResetCache()
-	computes := 0
+	var computes atomic.Int64
 	arts := []repro.Artifact{{ID: "a1", Title: "a1", Compute: func(repro.Options) (*result.Result, error) {
-		computes++
+		computes.Add(1)
 		r := &result.Result{ID: "a1", Title: "a1"}
 		r.AddTable(&result.Table{Title: "x", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
 		return r, nil
@@ -58,13 +61,18 @@ func TestEncodeReportHonorsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, format := range []string{"json", "text", "csv"} {
-		if _, err := s.encodeReport(ctx, repro.Options{}, format); err == nil {
-			t.Errorf("encodeReport(%s) with canceled ctx succeeded, want error", format)
-		} else if !strings.Contains(err.Error(), "context canceled") {
-			t.Errorf("encodeReport(%s) error = %v, want context cancellation", format, err)
+		req := httptest.NewRequest("GET", "/api/v1/report?format="+format, nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		// The report either failed its computes (500) or the handler saw
+		// the deadline first (504); both name the cancellation.
+		if rec.Code == http.StatusOK {
+			t.Errorf("report(%s) with canceled ctx succeeded, want an error", format)
+		} else if !strings.Contains(rec.Body.String(), "context canceled") {
+			t.Errorf("report(%s) = %d %s, want context cancellation", format, rec.Code, rec.Body.String())
 		}
 	}
-	if computes != 0 {
-		t.Errorf("canceled report launched %d computes, want 0", computes)
+	if n := computes.Load(); n != 0 {
+		t.Errorf("canceled report launched %d computes, want 0", n)
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
@@ -139,26 +137,31 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	if release == nil {
 		return
 	}
-	runs := make([]*variantRun, len(variants))
-	jobs := make([]runner.Job, 0, len(variants)*len(arts))
-	for vi, v := range variants {
+	for _, v := range variants {
 		s.met.scenarioComputes.With(s.scenarioLabel(v.Name)).Inc()
-		vr := newVariantRun(len(arts))
-		runs[vi] = vr
-		opts := repro.Options{MeshN: meshN, Scenario: v}
-		for ai, a := range arts {
-			jobs = append(jobs, runner.Job{ID: a.ID + "@" + v.Name, Run: func(io.Writer) error {
-				return vr.compute(ai, a, opts)
-			}})
-		}
 	}
-	// The pool run owns the gate units until the last compute returns,
-	// even after the handler stops waiting: the gate bounds real solver
+	// The sweep owns the gate units until its last compute returns, even
+	// after the handler stops waiting: the gate bounds real solver
 	// concurrency. ctx carries both the request deadline and the client
-	// disconnect, so a hung-up stream stops starting new computes.
+	// disconnect, so a hung-up stream stops starting new computes. lines
+	// holds every variant, so the sweep never blocks on a handler that
+	// has walked away.
+	lines := make(chan variantLine, len(variants))
 	go func() {
 		defer release()
-		runner.Pool{Workers: s.jobs}.RunToContext(ctx, nil, jobs)
+		pool, opts := runner.Pool{Workers: s.jobs}, repro.Options{MeshN: meshN}
+		repro.Sweep(ctx, pool, arts, opts, variants, func(i int, res []*result.Result, err error) {
+			line := variantLine{Scenario: variants[i].Name, Key: variants[i].Key()}
+			for _, r := range res {
+				if r != nil {
+					line.Artifacts = append(line.Artifacts, r)
+				}
+			}
+			if err != nil {
+				line.Error = err.Error()
+			}
+			lines <- line
+		})
 	}()
 
 	// Stream in grid order. The header commits before the first variant
@@ -168,82 +171,34 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	timedOut := false
-	for i, v := range variants {
+	for _, v := range variants {
 		line := variantLine{Scenario: v.Name, Key: v.Key()}
-		if !timedOut {
+		// A variant settled after the deadline (its computes skipped or
+		// finishing late) is never collected: ctx is checked before the
+		// wait, and the sweep can only emit it after ctx is done.
+		collected := false
+		if !timedOut && ctx.Err() == nil {
 			select {
-			case <-runs[i].done:
-				line.Artifacts, line.Error = runs[i].outcome()
+			case line = <-lines:
+				collected = true
 			case <-ctx.Done():
-				// Stop waiting but keep emitting one line per variant so the
-				// stream stays parseable and complete. The abandoned computes
-				// finish into the cache before the gate units are released.
+			}
+		}
+		if !collected {
+			// Stop waiting but keep emitting one line per variant so the
+			// stream stays parseable and complete. The abandoned computes
+			// finish into the cache before the gate units are released.
+			if !timedOut {
 				s.met.timeouts.Inc()
 				timedOut = true
 			}
-		}
-		if timedOut {
 			line.Error = "request deadline exceeded before this variant was collected"
 		}
 		if err := enc.Encode(line); err != nil {
-			return // client hung up; the pool run drains on ctx
+			return // client hung up; the sweep drains on ctx
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-}
-
-// variantRun collects one sweep variant's artifact results as the pool
-// computes them; done closes when the last of them has settled.
-type variantRun struct {
-	results []*result.Result // by artifact, nil where the compute failed
-	errs    []error          // by artifact
-	left    atomic.Int64
-	done    chan struct{}
-}
-
-func newVariantRun(arts int) *variantRun {
-	vr := &variantRun{results: make([]*result.Result, arts), errs: make([]error, arts), done: make(chan struct{})}
-	vr.left.Store(int64(arts))
-	if arts == 0 {
-		close(vr.done)
-	}
-	return vr
-}
-
-// compute runs artifact ai for this variant and settles its slot. The
-// panic error stands unless the compute returns, so a panicking artifact
-// (the runner recovers it) still settles the variant with an error.
-func (vr *variantRun) compute(ai int, a repro.Artifact, opts repro.Options) error {
-	vr.errs[ai] = fmt.Errorf("%s: compute panicked", a.ID)
-	defer func() {
-		if vr.left.Add(-1) == 0 {
-			close(vr.done)
-		}
-	}()
-	// One artifact compute is the cancellation unit: the pool checks the
-	// request context before starting each job.
-	//lint:allow ctxflow per-artifact granularity; the pool checks ctx per job
-	res, err := a.ComputeCached(opts)
-	vr.results[ai], vr.errs[ai] = res, nil
-	if err != nil {
-		vr.errs[ai] = fmt.Errorf("%s: %w", a.ID, err)
-	}
-	return err
-}
-
-// outcome returns the computed results in artifact order and the joined
-// failures; call only after done has closed.
-func (vr *variantRun) outcome() ([]*result.Result, string) {
-	var out []*result.Result
-	for _, res := range vr.results {
-		if res != nil {
-			out = append(out, res)
-		}
-	}
-	if err := errors.Join(vr.errs...); err != nil {
-		return out, err.Error()
-	}
-	return out, ""
 }

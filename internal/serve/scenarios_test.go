@@ -518,3 +518,65 @@ func TestScenariosAdmissionAndPanics(t *testing.T) {
 		}
 	}
 }
+
+// TestScenariosDeadlineMidSweep: when the request deadline passes while a
+// sweep variant is still computing, the stream still carries one line per
+// variant — the settled ones with their results, the rest with the
+// deadline error in-band — variants that had not started are never
+// computed, and the gate units come back once the abandoned compute
+// drains.
+func TestScenariosDeadlineMidSweep(t *testing.T) {
+	repro.ResetCache()
+	defer repro.ResetCache()
+	hold := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(hold) }) }
+	defer unblock()
+	first := "late/vdd=0.800"
+	var (
+		mu       sync.Mutex
+		computed []string
+	)
+	art := repro.Artifact{ID: "dl", Title: "dl", Compute: func(opts repro.Options) (*result.Result, error) {
+		mu.Lock()
+		computed = append(computed, opts.Scenario.Name)
+		mu.Unlock()
+		if opts.Scenario.Name != first {
+			<-hold
+		}
+		r := &result.Result{}
+		r.AddTable(&result.Table{Title: "dl", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
+		return r, nil
+	}}
+	srv := New(Config{Artifacts: []repro.Artifact{art}, Jobs: 1, Timeout: 200 * time.Millisecond})
+	body := `{"name":"late","sweep":{"param":"vdd","steps":3,"span_pct":20,"nodes":[70]}}`
+	rec := postScenario(t, srv, "/api/v1/scenarios", body)
+	if rec.Code != 200 {
+		t.Fatalf("POST = %d (%s)", rec.Code, rec.Body.String())
+	}
+	lines := decodeLines(t, rec.Body)
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3", len(lines))
+	}
+	if lines[0].Scenario != first || lines[0].Error != "" || len(lines[0].Artifacts) != 1 {
+		t.Errorf("line 0 = %+v, want %s with its result", lines[0], first)
+	}
+	for i, line := range lines[1:] {
+		if line.Error != "request deadline exceeded before this variant was collected" || len(line.Artifacts) != 0 {
+			t.Errorf("line %d: error %q, %d artifacts; want the deadline in-band", i+1, line.Error, len(line.Artifacts))
+		}
+	}
+	unblock()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.gate.InFlight() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gate holds %d units after the sweep drained", srv.gate.InFlight())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{first, "late/vdd=1.000"}; fmt.Sprint(computed) != fmt.Sprint(want) {
+		t.Errorf("computed variants %v, want %v (the unstarted variant must never compute)", computed, want)
+	}
+}

@@ -257,37 +257,36 @@ func apiError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // requestOptions parses and validates the query parameters shared by the
-// artifact and report endpoints. mesh-n arrives from untrusted clients and
-// goes through the same ValidateMeshN the CLI flag uses.
-func requestOptions(r *http.Request) (opts repro.Options, format string, err error) {
+// artifact and report endpoints: the compute options, the format, and the
+// text encoder's settings. mesh-n arrives from untrusted clients and goes
+// through the same ValidateMeshN the CLI flag uses.
+func requestOptions(r *http.Request) (opts repro.Options, text render.Text, format string, err error) {
 	q := r.URL.Query()
 	format = q.Get("format")
 	if format == "" {
 		format = "text"
 	}
-	switch format {
-	case "text", "json", "csv":
-	default:
-		return opts, "", fmt.Errorf("unknown format %q (want text, json, or csv)", format)
+	if err := render.CheckFormat(format); err != nil {
+		return opts, text, "", err
 	}
 	if v := q.Get("mesh-n"); v != "" {
 		n, perr := strconv.Atoi(v)
 		if perr != nil {
-			return opts, "", fmt.Errorf("mesh-n %q is not an integer", v)
+			return opts, text, "", fmt.Errorf("mesh-n %q is not an integer", v)
 		}
 		if verr := repro.ValidateMeshN(n); verr != nil {
-			return opts, "", verr
+			return opts, text, "", verr
 		}
 		opts.MeshN = n
 	}
 	// Encode-only toggles of the text format (same semantics as the CLI's
 	// -v and -plot).
-	opts.Verbose = boolParam(q.Get("verbose"))
-	opts.Plot = boolParam(q.Get("plot"))
-	if format != "text" && (opts.Verbose || opts.Plot) {
-		return opts, "", fmt.Errorf("verbose and plot only apply to format=text")
+	text.Verbose = boolParam(q.Get("verbose"))
+	text.Plot = boolParam(q.Get("plot"))
+	if format != "text" && (text.Verbose || text.Plot) {
+		return opts, text, "", fmt.Errorf("verbose and plot only apply to format=text")
 	}
-	return opts, format, nil
+	return opts, text, format, nil
 }
 
 func boolParam(v string) bool { return v == "1" || v == "true" }
@@ -298,12 +297,12 @@ func boolParam(v string) bool { return v == "1" || v == "true" }
 // change its serialization). Compute is deterministic, so equal ETags mean
 // byte-identical bodies — which is also why the ETag can be issued without
 // encoding anything.
-func etagFor(id string, opts repro.Options, format string) string {
+func etagFor(id string, opts repro.Options, text render.Text, format string) string {
 	enc := format
-	if opts.Verbose {
+	if text.Verbose {
 		enc += "v"
 	}
-	if opts.Plot {
+	if text.Plot {
 		enc += "p"
 	}
 	return `"` + id + "-" + opts.CacheKey() + "-" + enc + `"`
@@ -359,7 +358,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, wt int64) fun
 	return release
 }
 
-// finish waits for a background produce goroutine under the deadline. On
+// await waits for a background produce goroutine under the deadline. On
 // timeout the handler answers 504 and walks away; the goroutine keeps
 // running to completion (its result lands in the compute cache, so the
 // client's retry is a hit) and releases its gate units when done.
@@ -385,7 +384,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	index := struct {
 		Artifacts []entry  `json:"artifacts"`
 		Formats   []string `json:"formats"`
-	}{Formats: []string{"text", "json", "csv"}}
+	}{Formats: render.Formats}
 	for _, a := range s.order {
 		index.Artifacts = append(index.Artifacts, entry{a.ID, a.Title, "/api/v1/artifacts/" + a.ID})
 	}
@@ -404,12 +403,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.artifactTotal.With(artifactLabel(a)).Inc()
-	opts, format, err := requestOptions(r)
+	opts, text, format, err := requestOptions(r)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	etag := etagFor(id, opts, format)
+	etag := etagFor(id, opts, text, format)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
 		s.met.notModified.Inc()
 		w.Header().Set("ETag", etag)
@@ -422,9 +421,9 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := encodeOne(res, opts, format)
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, "encoding %s: %v", id, err)
+	var body bytes.Buffer
+	if err := render.Report(&body, format, text, []*result.Result{res}); err != nil {
+		apiError(w, http.StatusInternalServerError, "encoding %v", err)
 		return
 	}
 	// The validator headers ride only on the success path: a 504/500 must
@@ -432,7 +431,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	// could have it revalidated into a 304 forever.
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "no-cache")
-	writeBody(w, format, body)
+	writeBody(w, format, body.Bytes())
 }
 
 // produceResult runs the singleflight-collapsed compute of one artifact
@@ -568,9 +567,13 @@ func (s *Server) handleInternalResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReport serves the full run — the exact bytes `nanorepro
-// -format=<f>` prints for the same options.
+// -format=<f>` prints for the same options: the registry computed on one
+// Jobs-wide pool, then encoded by render.Report. ctx is the request's: a
+// report whose client has gone away stops launching artifacts (the ones
+// already solving run to completion and still land in the compute cache,
+// exactly like the single-artifact path).
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	opts, format, err := requestOptions(r)
+	opts, text, format, err := requestOptions(r)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -590,8 +593,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	ch := make(chan outcome, 1)
 	go func() {
 		defer release()
-		body, err := s.encodeReport(ctx, opts, format)
-		ch <- outcome{body, err}
+		results, err := repro.ComputeAllCtx(ctx, runner.Pool{Workers: s.jobs}, s.order, opts)
+		var body bytes.Buffer
+		if err == nil {
+			err = render.Report(&body, format, text, results)
+		}
+		ch <- outcome{body.Bytes(), err}
 	}()
 	out, ok := await(ctx, s, w, ch)
 	if !ok {
@@ -611,65 +618,6 @@ func (s *Server) handleFlush(w http.ResponseWriter, _ *http.Request) {
 	repro.ResetCache()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"flushed": true, "entries_dropped": before})
-}
-
-// encodeOne renders a computed result exactly as the CLI would: render.Text
-// for format=text, a single-artifact {"artifacts":[…]} document for json,
-// and render.CSV blocks for csv.
-func encodeOne(res *result.Result, opts repro.Options, format string) ([]byte, error) {
-	var buf bytes.Buffer
-	var err error
-	switch format {
-	case "json":
-		err = render.JSON{Indent: "  "}.EncodeReport(&buf, &result.Report{Artifacts: []*result.Result{res}})
-	case "csv":
-		err = render.CSV{}.Encode(&buf, res)
-	default:
-		err = render.Text{Plot: opts.Plot, Verbose: opts.Verbose}.Encode(&buf, res)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// encodeReport renders the whole registry through the same pool paths the
-// CLI uses, so the bytes match `nanorepro` for the same options and worker
-// non-determinism stays impossible. ctx is the request's: a report whose
-// client has gone away stops launching artifacts (the ones already solving
-// run to completion and still land in the compute cache, exactly like the
-// single-artifact path).
-func (s *Server) encodeReport(ctx context.Context, opts repro.Options, format string) ([]byte, error) {
-	pool := runner.Pool{Workers: s.jobs}
-	var buf bytes.Buffer
-	switch format {
-	case "json":
-		results, aggErr := repro.ComputeAllCtx(ctx, pool, s.order, opts)
-		if aggErr != nil {
-			return nil, aggErr
-		}
-		rep := &result.Report{Artifacts: results}
-		if err := (render.JSON{Indent: "  "}).EncodeReport(&buf, rep); err != nil {
-			return nil, err
-		}
-	case "csv":
-		results, sinkErr := pool.RunToContext(ctx, &buf, repro.EncodeJobs(s.order, opts, render.CSV{}))
-		if sinkErr != nil {
-			return nil, sinkErr
-		}
-		if agg := runner.Errs(results); agg != nil {
-			return nil, agg
-		}
-	default:
-		results, sinkErr := pool.RunToContext(ctx, &buf, repro.Jobs(s.order, opts))
-		if sinkErr != nil {
-			return nil, sinkErr
-		}
-		if agg := runner.Errs(results); agg != nil {
-			return nil, agg
-		}
-	}
-	return buf.Bytes(), nil
 }
 
 func writeBody(w http.ResponseWriter, format string, body []byte) {

@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +20,6 @@ import (
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
-	"nanometer/internal/runner"
 )
 
 func get(t *testing.T, h http.Handler, target string, hdr map[string]string) *httptest.ResponseRecorder {
@@ -131,59 +133,75 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	repro.ResetCache()
 }
 
+// golden reads one of the committed full-report goldens that pin the
+// CLI's bytes (internal/repro/testdata, checked by repro's golden tests
+// against nanorepro's compute-then-encode path).
+func golden(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "repro", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestServerMatchesCLI: for every artifact and every format, the HTTP body
-// is byte-identical to what cmd/nanorepro emits for the same options (both
-// funnel through repro.ComputeCached and internal/render, and this test
-// pins that they stay funneled).
+// is byte-identical to what cmd/nanorepro emits for the same options. The
+// text and CSV bodies, concatenated in registry order, are the committed
+// report goldens; each JSON body is the one-artifact document of the
+// golden JSON report's entry.
 func TestServerMatchesCLI(t *testing.T) {
 	h := New(Config{}).Handler()
-	pool := runner.Pool{Workers: 1}
-	for _, a := range repro.Artifacts() {
-		sel := []repro.Artifact{a}
-		for _, format := range []string{"text", "json", "csv"} {
-			var want bytes.Buffer
-			var err error
-			switch format {
-			case "text":
-				_, err = pool.RunTo(&want, repro.Jobs(sel, repro.Options{}))
-			case "csv":
-				_, err = pool.RunTo(&want, repro.EncodeJobs(sel, repro.Options{}, render.CSV{}))
-			case "json":
-				var results []*result.Result
-				results, err = repro.ComputeAll(pool, sel, repro.Options{})
-				if err == nil {
-					err = render.JSON{Indent: "  "}.EncodeReport(&want, &result.Report{Artifacts: results})
-				}
-			}
-			if err != nil {
-				t.Fatalf("%s %s: CLI-path encode: %v", a.ID, format, err)
-			}
+	var rep result.Report
+	if err := json.Unmarshal(golden(t, "report.golden.json"), &rep); err != nil {
+		t.Fatal(err)
+	}
+	arts := repro.Artifacts()
+	if len(rep.Artifacts) != len(arts) {
+		t.Fatalf("golden JSON holds %d artifacts, registry %d", len(rep.Artifacts), len(arts))
+	}
+	bodies := map[string]*bytes.Buffer{"text": {}, "csv": {}}
+	for i, a := range arts {
+		for _, format := range render.Formats {
 			rec := get(t, h, "/api/v1/artifacts/"+a.ID+"?format="+format, nil)
 			if rec.Code != 200 {
 				t.Fatalf("%s %s: HTTP %d", a.ID, format, rec.Code)
 			}
+			if format != "json" {
+				bodies[format].Write(rec.Body.Bytes())
+				continue
+			}
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(result.Report{Artifacts: rep.Artifacts[i : i+1]}); err != nil {
+				t.Fatal(err)
+			}
 			if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
-				t.Errorf("%s %s: HTTP body differs from CLI bytes (%d vs %d bytes)",
-					a.ID, format, rec.Body.Len(), want.Len())
+				t.Errorf("%s json: HTTP body differs from the golden entry (%d vs %d bytes)", a.ID, rec.Body.Len(), want.Len())
 			}
 		}
+	}
+	if !bytes.Equal(bodies["text"].Bytes(), golden(t, "report.golden")) {
+		t.Error("per-artifact text bodies differ from the CLI's golden report")
+	}
+	if !bytes.Equal(bodies["csv"].Bytes(), golden(t, "report.golden.csv")) {
+		t.Error("per-artifact csv bodies differ from the CLI's golden report")
 	}
 }
 
 // TestReportMatchesCLI: the full-report endpoint returns the CLI's exact
-// report bytes.
+// report bytes in every format.
 func TestReportMatchesCLI(t *testing.T) {
 	h := New(Config{}).Handler()
-	var want bytes.Buffer
-	if _, err := (runner.Pool{Workers: 1}).RunTo(&want, repro.Jobs(repro.Artifacts(), repro.Options{})); err != nil {
-		t.Fatal(err)
-	}
-	rec := get(t, h, "/api/v1/report", nil)
-	if rec.Code != 200 {
-		t.Fatalf("report = %d", rec.Code)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
-		t.Error("report body differs from CLI full-report bytes")
+	for format, name := range map[string]string{"text": "report.golden", "json": "report.golden.json", "csv": "report.golden.csv"} {
+		rec := get(t, h, "/api/v1/report?format="+format, nil)
+		if rec.Code != 200 {
+			t.Fatalf("report %s = %d", format, rec.Code)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), golden(t, name)) {
+			t.Errorf("report %s body differs from the CLI's golden %s", format, name)
+		}
 	}
 }
 
