@@ -56,8 +56,7 @@ vet:
 # The project-specific static-analysis gate (internal/analyzers via
 # cmd/nanolint): determinism of output-producing packages (detrange),
 # the solver-error contract (solvecheck), compute-cache key coverage
-# (cachekey), pooled-workspace discipline (poolescape), and the
-# concurrency contracts of the serving era — lock-guarded fields
+# (cachekey), and the concurrency contracts of the serving era — lock-guarded fields
 # (lockguard), context threading past blocking APIs (ctxflow), provable
 # goroutine exits (goexit), strict bounded JSON decoding at API
 # boundaries (strictjson), and bounded metric-label sets (metriclabel).
@@ -75,9 +74,8 @@ verify: vet build lint race
 bench-all:
 	$(GO) test -bench=. -run='^$$' -benchmem .
 
-# The hot IR-drop kernel: seed-style allocating CG vs workspace CG vs
-# Jacobi PCG vs the multigrid-preconditioned production path
-# (powergrid.Mesh.Solve) at n = 63 and 255.
+# The hot IR-drop kernel: the production MG-PCG solve on the mesh stencil
+# at n = 63 and 255, and the full powergrid.Mesh.Solve path.
 bench-mesh:
 	$(GO) test -bench='BenchmarkMeshSolve' -run='^$$' -benchmem .
 

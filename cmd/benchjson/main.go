@@ -57,7 +57,7 @@ type Report struct {
 // Benchmark is one parsed `go test -bench` result line.
 type Benchmark struct {
 	// Name is the full benchmark path, e.g.
-	// "BenchmarkMeshSolve/n=63/MG-workspace".
+	// "BenchmarkMeshSolve/n=63/MG-stencil".
 	Name string `json:"name"`
 	// N is the harness iteration count the stats were averaged over.
 	N int64 `json:"n"`

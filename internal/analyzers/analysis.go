@@ -37,8 +37,8 @@ type Analyzer struct {
 // All returns the full nanolint suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Detrange, Solvecheck, Cachekey, Poolescape,
-		Lockguard, Ctxflow, Goexit, Strictjson, Metriclabel,
+		Detrange, Solvecheck, Cachekey, Lockguard,
+		Ctxflow, Goexit, Strictjson, Metriclabel,
 	}
 }
 

@@ -29,10 +29,6 @@ func TestCachekeyFixture(t *testing.T) {
 	atest.Run(t, analyzers.Cachekey, "testdata/cachekey", "nanometer/internal/fixture")
 }
 
-func TestPoolescapeFixture(t *testing.T) {
-	atest.Run(t, analyzers.Poolescape, "testdata/poolescape", "nanometer/internal/fixture")
-}
-
 func TestLockguardFixture(t *testing.T) {
 	atest.Run(t, analyzers.Lockguard, "testdata/lockguard", "nanometer/internal/fixture")
 }

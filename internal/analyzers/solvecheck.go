@@ -13,9 +13,9 @@ import (
 // you a solver is drifting toward its maxIter cliff — reintroduces the
 // NaN-propagation failure mode the contract was built to kill.
 //
-// Flagged callees: the mathx.Solve* family (SolveDense, SolveSOR, SolveCG,
-// SolvePCG*, SolveCGW, SolveMG*) and the repro Compute* entry points
-// (ComputeAll, ComputeCached, and the compute functions themselves).
+// Flagged callees: the mathx.Solve* family (SolveDense, SolveMGW) and the
+// repro Compute* entry points (ComputeAllCtx, ComputeCached, and the
+// compute functions themselves).
 var Solvecheck = &Analyzer{
 	Name: "solvecheck",
 	Doc: "flags call sites that discard the err (or silently drop iters) " +
@@ -61,7 +61,7 @@ func runSolvecheck(pass *Pass) error {
 	return nil
 }
 
-// checkSolverAssign inspects `x, iters, err := m.SolveCG(...)`-shaped
+// checkSolverAssign inspects `x, iters, err := mathx.SolveMGW(...)`-shaped
 // statements for blanked results.
 func checkSolverAssign(pass *Pass, assign *ast.AssignStmt) {
 	if len(assign.Rhs) != 1 {

@@ -11,25 +11,25 @@ import (
 )
 
 // Whole result discarded.
-func discardAll(m *mathx.SparseMatrix, b []float64) {
-	m.SolveCG(b, 1e-9, 100) // want "result of mathx.SolveCG discarded"
+func discardAll(a *mathx.MeshOperator, ws *mathx.Workspace, mg *mathx.MeshMG, b []float64) {
+	mathx.SolveMGW(a, ws, mg, b, 1e-9, 100) // want "result of mathx.SolveMGW discarded"
 }
 
 // Discarded through a go statement.
-func discardGo(m *mathx.SparseMatrix, b []float64) {
-	go m.SolveCG(b, 1e-9, 100) // want "result of mathx.SolveCG discarded by go statement"
+func discardGo(a *mathx.MeshOperator, ws *mathx.Workspace, mg *mathx.MeshMG, b []float64) {
+	go mathx.SolveMGW(a, ws, mg, b, 1e-9, 100) // want "result of mathx.SolveMGW discarded by go statement"
 }
 
 // Error blanked: ErrNotSPD would vanish.
-func blankErr(m *mathx.SparseMatrix, b []float64) []float64 {
-	x, iters, _ := m.SolveCG(b, 1e-9, 100) // want "err result of mathx.SolveCG assigned to _"
+func blankErr(a *mathx.MeshOperator, ws *mathx.Workspace, mg *mathx.MeshMG, b []float64) []float64 {
+	x, iters, _ := mathx.SolveMGW(a, ws, mg, b, 1e-9, 100) // want "err result of mathx.SolveMGW assigned to _"
 	_ = iters
 	return x
 }
 
 // Iteration count silently dropped.
-func dropIters(m *mathx.SparseMatrix, b []float64) ([]float64, error) {
-	x, _, err := m.SolveCG(b, 1e-9, 100) // want "iters result of mathx.SolveCG silently dropped"
+func dropIters(a *mathx.MeshOperator, ws *mathx.Workspace, mg *mathx.MeshMG, b []float64) ([]float64, error) {
+	x, _, err := mathx.SolveMGW(a, ws, mg, b, 1e-9, 100) // want "iters result of mathx.SolveMGW silently dropped"
 	return x, err
 }
 
@@ -49,8 +49,8 @@ func computeBlankErr(a repro.Artifact, opts repro.Options) {
 }
 
 // The compliant shape: both iters and err handled.
-func handled(m *mathx.SparseMatrix, b []float64) ([]float64, error) {
-	x, iters, err := m.SolveCG(b, 1e-9, 100)
+func handled(a *mathx.MeshOperator, ws *mathx.Workspace, mg *mathx.MeshMG, b []float64) ([]float64, error) {
+	x, iters, err := mathx.SolveMGW(a, ws, mg, b, 1e-9, 100)
 	if err != nil {
 		return nil, fmt.Errorf("solve failed after %d iterations: %w", iters, err)
 	}
@@ -58,8 +58,8 @@ func handled(m *mathx.SparseMatrix, b []float64) ([]float64, error) {
 }
 
 // An annotated drop: the reason names where iters is accounted for.
-func allowedDrop(m *mathx.SparseMatrix, b []float64) ([]float64, error) {
+func allowedDrop(a *mathx.MeshOperator, ws *mathx.Workspace, mg *mathx.MeshMG, b []float64) ([]float64, error) {
 	//lint:allow solvecheck iteration count covered by the bench harness
-	x, _, err := m.SolveCG(b, 1e-9, 100)
+	x, _, err := mathx.SolveMGW(a, ws, mg, b, 1e-9, 100)
 	return x, err
 }

@@ -8,9 +8,7 @@ import (
 	"strconv"
 )
 
-// exprString renders an expression for diagnostics (and for poolescape's
-// lexical pool matching: two Gets/Puts pair when their receiver
-// expressions print identically).
+// exprString renders an expression for diagnostics.
 func exprString(x ast.Expr) string { return types.ExprString(x) }
 
 // basicLitString unquotes a string literal.

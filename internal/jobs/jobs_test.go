@@ -176,8 +176,23 @@ func TestCancelRunning(t *testing.T) {
 	}
 }
 
+// TestCancelQueued: a job canceled while it waits behind a busy worker
+// never runs. The one worker is held by parking admission until the test
+// releases it or the parked job's ctx is canceled, so neither job can
+// start before the Cancel, however the scheduler interleaves them.
 func TestCancelQueued(t *testing.T) {
-	q := New(Config{Workers: 1})
+	hold := make(chan struct{})
+	defer close(hold)
+	parked := make(chan struct{}, 2) // one send per job, never blocks
+	q := New(Config{Workers: 1, Admit: func(ctx context.Context, _ *trace.Trace) (func(), error) {
+		parked <- struct{}{}
+		select {
+		case <-hold:
+			return func() {}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}})
 	defer q.Close()
 	blocker, err := q.Submit(longTrace("blocker"))
 	if err != nil {
@@ -187,6 +202,7 @@ func TestCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-parked // the worker is taken
 	q.Cancel(queued.ID)
 	waitState(t, queued, StateCanceled)
 	if snap := queued.Snapshot(); snap.Progress != nil {

@@ -8,11 +8,13 @@ import (
 func log(x float64) float64 { return math.Log(x) }
 func exp(x float64) float64 { return math.Exp(x) }
 
-// ErrNotSPD is returned by the conjugate-gradient solvers when the Krylov
-// iteration encounters non-positive curvature (pᵀ·A·p ≤ 0), which means the
-// matrix is not symmetric positive definite (or round-off has destroyed
-// definiteness). The previous behaviour was a silent divide-by-zero that
-// propagated NaN/Inf into the solution.
+// ErrNotSPD reports a system that is not symmetric positive definite:
+// SolveMGW returns it when the Krylov iteration meets non-positive
+// curvature (pᵀ·A·p ≤ 0) or a non-positive preconditioned residual product
+// (rᵀ·z ≤ 0) — round-off, or a NaN in the right-hand side, fails the same
+// guards — and NewMeshHierarchy when the coarsest Cholesky factorization
+// meets a non-positive pivot. The guards replace a silent divide-by-zero
+// that propagated NaN/Inf into the solution.
 var ErrNotSPD = fmt.Errorf("mathx: matrix is not positive definite")
 
 // SolveDense solves the n×n linear system A·x = b by Gaussian elimination
@@ -67,365 +69,4 @@ func SolveDense(a [][]float64, b []float64) ([]float64, error) {
 		x[i] = s / m[i][i]
 	}
 	return x, nil
-}
-
-// SparseMatrix is a simple row-compressed symmetric-positive-definite-ish
-// sparse matrix for the resistive-mesh solvers. It has two phases:
-// assembly, where Add accumulates entries into per-row slices (linear scan —
-// mesh rows carry ≤ 4 off-diagonals), and frozen, after Freeze flattens the
-// rows into a single CSR backing array for cache-friendly MulVec. Add on a
-// frozen matrix panics: appending into the flattened arrays would silently
-// corrupt neighbouring rows.
-type SparseMatrix struct {
-	N    int
-	cols [][]int32
-	vals [][]float64
-	diag []float64
-
-	// Frozen CSR layout: row r occupies fcols/fvals[rowPtr[r]:rowPtr[r+1]]
-	// in the row's original insertion order (so frozen MulVec sums in the
-	// exact same order as assembly MulVec — bit-identical results). The
-	// diagonal stays in diag.
-	frozen bool
-	rowPtr []int32
-	fcols  []int32
-	fvals  []float64
-}
-
-// NewSparseMatrix creates an empty n×n sparse matrix.
-func NewSparseMatrix(n int) *SparseMatrix {
-	return &SparseMatrix{
-		N:    n,
-		cols: make([][]int32, n),
-		vals: make([][]float64, n),
-		diag: make([]float64, n),
-	}
-}
-
-// Freeze seals assembly and flattens the per-row slices into one contiguous
-// CSR backing array. MulVec afterwards streams rowPtr/fcols/fvals linearly
-// instead of chasing n row headers; results are bit-identical because each row keeps its insertion
-// order. Freeze is idempotent; Add after Freeze panics.
-func (s *SparseMatrix) Freeze() {
-	if s.frozen {
-		return
-	}
-	nnz := 0
-	for _, c := range s.cols {
-		nnz += len(c)
-	}
-	s.rowPtr = make([]int32, s.N+1)
-	s.fcols = make([]int32, 0, nnz)
-	s.fvals = make([]float64, 0, nnz)
-	for r := 0; r < s.N; r++ {
-		s.rowPtr[r] = int32(len(s.fcols))
-		s.fcols = append(s.fcols, s.cols[r]...)
-		s.fvals = append(s.fvals, s.vals[r]...)
-	}
-	s.rowPtr[s.N] = int32(len(s.fcols))
-	s.cols, s.vals = nil, nil // assembly storage is dead; release it
-	s.frozen = true
-}
-
-// Frozen reports whether the matrix has been sealed by Freeze.
-func (s *SparseMatrix) Frozen() bool { return s.frozen }
-
-// Add accumulates v into entry (r, c). Diagonal entries are kept separately.
-// Panics if the matrix has been frozen — the CSR arrays cannot grow.
-func (s *SparseMatrix) Add(r, c int, v float64) {
-	if s.frozen {
-		panic("mathx: Add on frozen SparseMatrix (assembly is sealed after Freeze)")
-	}
-	if r == c {
-		s.diag[r] += v
-		return
-	}
-	// Linear scan: rows in mesh problems have ≤ 4 off-diagonals.
-	for i, cc := range s.cols[r] {
-		if int(cc) == c {
-			s.vals[r][i] += v
-			return
-		}
-	}
-	s.cols[r] = append(s.cols[r], int32(c))
-	s.vals[r] = append(s.vals[r], v)
-}
-
-// row returns the off-diagonal columns and values of row r in either phase.
-func (s *SparseMatrix) row(r int) ([]int32, []float64) {
-	if s.frozen {
-		lo, hi := s.rowPtr[r], s.rowPtr[r+1]
-		return s.fcols[lo:hi], s.fvals[lo:hi]
-	}
-	return s.cols[r], s.vals[r]
-}
-
-// Dim returns the matrix dimension N (the Operator interface).
-func (s *SparseMatrix) Dim() int { return s.N }
-
-// MulVec computes y = A·x. On a frozen matrix the rows stream from the flat
-// CSR arrays.
-func (s *SparseMatrix) MulVec(x, y []float64) {
-	if s.frozen {
-		rp, cols, vals, diag := s.rowPtr, s.fcols, s.fvals, s.diag
-		for r := 0; r < s.N; r++ {
-			sum := diag[r] * x[r]
-			for i := rp[r]; i < rp[r+1]; i++ {
-				sum += vals[i] * x[cols[i]]
-			}
-			y[r] = sum
-		}
-		return
-	}
-	for r := 0; r < s.N; r++ {
-		sum := s.diag[r] * x[r]
-		cols, vals := s.cols[r], s.vals[r]
-		for i := range cols {
-			sum += vals[i] * x[cols[i]]
-		}
-		y[r] = sum
-	}
-}
-
-// residualNorm returns ‖b − A·x‖₂ using scratch (length N) for A·x.
-func (s *SparseMatrix) residualNorm(b, x, scratch []float64) float64 {
-	s.MulVec(x, scratch)
-	sum := 0.0
-	for i := range b {
-		d := b[i] - scratch[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum)
-}
-
-// Workspace holds the scratch vectors of the iterative solvers so repeated
-// solves of same-sized systems allocate nothing. A zero Workspace is ready
-// to use; it grows on demand and is NOT safe for concurrent use — each
-// goroutine needs its own.
-//
-// The solution slice returned by the *W solver variants aliases the
-// workspace and is only valid until the next solve that reuses it.
-//
-// There is no separate preconditioned-residual vector: every solver here
-// forms z = M⁻¹·r only after r has consumed A·p, so z lives in ap's
-// storage. invDiag is grown only by the Jacobi-preconditioned solver.
-type Workspace struct {
-	x, r, p, ap, invDiag []float64
-}
-
-// grow resizes the Krylov vectors to length n and zeroes x.
-func (w *Workspace) grow(n int) {
-	if cap(w.x) < n {
-		w.x = make([]float64, n)
-		w.r = make([]float64, n)
-		w.p = make([]float64, n)
-		w.ap = make([]float64, n)
-	}
-	w.x, w.r, w.p, w.ap = w.x[:n], w.r[:n], w.p[:n], w.ap[:n]
-	for i := range w.x {
-		w.x[i] = 0
-	}
-}
-
-// Convergence semantics shared by SolveSOR, SolveCG, and SolvePCG: every
-// solver returns (x, iters, err) where iters is the number of sweeps or
-// Krylov iterations performed, and convergence means the residual satisfies
-// ‖b − A·x‖₂ ≤ tol·‖b‖₂ (SOR checks the true residual each sweep; CG/PCG
-// use the recursively-updated residual, which tracks the true one to
-// round-off). On iteration exhaustion the best iterate is returned together
-// with an error wrapping ErrNoConverge that records the final relative
-// residual.
-
-// noConverge builds the shared non-convergence error.
-func noConverge(method string, iters int, relRes float64) error {
-	return fmt.Errorf("mathx: %s: %w after %d iterations (relative residual %.3g)",
-		method, ErrNoConverge, iters, relRes)
-}
-
-// SolveSOR solves A·x = b by successive over-relaxation with factor omega,
-// starting from x0 (may be nil). It sweeps until the true residual norm
-// satisfies ‖b − A·x‖₂ ≤ tol·‖b‖₂ or maxIter sweeps complete. (An earlier
-// version stopped on the max per-sweep update instead, which declares
-// convergence prematurely on slowly-converging grids where successive
-// iterates move little while the residual is still large.) Returns the
-// solution and the number of sweeps used.
-func (s *SparseMatrix) SolveSOR(b []float64, x0 []float64, omega, tol float64, maxIter int) ([]float64, int, error) {
-	if len(b) != s.N {
-		return nil, 0, fmt.Errorf("mathx: rhs length %d, want %d", len(b), s.N)
-	}
-	if omega <= 0 || omega >= 2 {
-		return nil, 0, fmt.Errorf("mathx: SOR omega %g outside (0,2)", omega)
-	}
-	x := make([]float64, s.N)
-	if x0 != nil {
-		copy(x, x0)
-	}
-	for r := 0; r < s.N; r++ {
-		if s.diag[r] == 0 {
-			return nil, 0, fmt.Errorf("mathx: zero diagonal at row %d", r)
-		}
-	}
-	bNorm := math.Sqrt(dot(b, b))
-	scratch := make([]float64, s.N)
-	if bNorm == 0 {
-		bNorm = 1 // converge on absolute residual for a zero RHS
-	}
-	relRes := math.Inf(1)
-	for iter := 1; iter <= maxIter; iter++ {
-		for r := 0; r < s.N; r++ {
-			sum := b[r]
-			cols, vals := s.row(r)
-			for i := range cols {
-				sum -= vals[i] * x[cols[i]]
-			}
-			xNew := sum / s.diag[r]
-			x[r] += omega * (xNew - x[r])
-		}
-		relRes = s.residualNorm(b, x, scratch) / bNorm
-		if relRes <= tol {
-			return x, iter, nil
-		}
-	}
-	return x, maxIter, noConverge("SOR", maxIter, relRes)
-}
-
-// SolveCG solves A·x = b by (unpreconditioned) conjugate gradients; A must
-// be symmetric positive definite. Returns the solution and iterations used.
-// Non-positive curvature (a non-SPD matrix, or round-off on tiny meshes)
-// returns an error wrapping ErrNotSPD instead of silently producing
-// NaN/Inf solutions.
-func (s *SparseMatrix) SolveCG(b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	var ws Workspace
-	x, iters, err := s.solvePCG(&ws, b, tol, maxIter, false)
-	if x != nil {
-		x = append([]float64(nil), x...)
-	}
-	return x, iters, err
-}
-
-// SolvePCG solves A·x = b by Jacobi (diagonal) preconditioned conjugate
-// gradients; A must be symmetric positive definite with a strictly positive
-// diagonal. The preconditioner costs one multiply per unknown per iteration;
-// it leaves uniform-conductance meshes (near-constant diagonal) on par with
-// plain CG but sharply cuts iterations on badly scaled systems — non-uniform
-// rail widths, mixed-pitch grids — and rejects non-positive diagonals before
-// iterating. Returns the solution and iterations used.
-func (s *SparseMatrix) SolvePCG(b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	var ws Workspace
-	x, iters, err := s.solvePCG(&ws, b, tol, maxIter, true)
-	if x != nil {
-		x = append([]float64(nil), x...)
-	}
-	return x, iters, err
-}
-
-// SolvePCGW is SolvePCG reusing ws for every vector, including the returned
-// solution, which aliases ws and is only valid until ws is reused. It exists
-// so hot callers (the power-grid mesh solves) can run allocation-free.
-func (s *SparseMatrix) SolvePCGW(ws *Workspace, b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	return s.solvePCG(ws, b, tol, maxIter, true)
-}
-
-// SolveCGW is SolveCG on a reused workspace (see SolvePCGW for the aliasing
-// contract). On uniform-conductance meshes — a near-constant diagonal, where
-// Jacobi preconditioning buys no iterations but still pays two extra vector
-// sweeps per iteration (measured ≈25% wall clock, BenchmarkMeshSolve) — this
-// is the fastest solver in the package.
-func (s *SparseMatrix) SolveCGW(ws *Workspace, b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	return s.solvePCG(ws, b, tol, maxIter, false)
-}
-
-// solvePCG is the shared CG core. With precond it applies the Jacobi
-// preconditioner M = diag(A); without it M = I and it reduces to plain CG.
-func (s *SparseMatrix) solvePCG(ws *Workspace, b []float64, tol float64, maxIter int, precond bool) ([]float64, int, error) {
-	n := s.N
-	if len(b) != n {
-		return nil, 0, fmt.Errorf("mathx: rhs length %d, want %d", len(b), n)
-	}
-	ws.grow(n)
-	x, r, p, ap := ws.x, ws.r, ws.p, ws.ap
-	z := ap // dead once r is updated (see Workspace)
-	var invDiag []float64
-	if precond {
-		if cap(ws.invDiag) < n {
-			ws.invDiag = make([]float64, n)
-		}
-		invDiag = ws.invDiag[:n]
-		// Rows of mesh systems always carry a positive diagonal (diagonal
-		// dominance of the Laplacian); reject anything else before iterating.
-		for i, d := range s.diag {
-			if d <= 0 {
-				return nil, 0, fmt.Errorf("mathx: PCG: non-positive diagonal %g at row %d: %w", d, i, ErrNotSPD)
-			}
-			invDiag[i] = 1 / d
-		}
-	}
-	copy(r, b)
-	rr := dot(r, r)
-	bNorm := math.Sqrt(rr)
-	if bNorm == 0 {
-		return x, 0, nil
-	}
-	var rz float64
-	if precond {
-		for i := range z {
-			z[i] = invDiag[i] * r[i]
-		}
-		copy(p, z)
-		rz = dot(r, z)
-	} else {
-		copy(p, r)
-		rz = rr
-	}
-	rNorm := bNorm
-	for iter := 1; iter <= maxIter; iter++ {
-		s.MulVec(p, ap)
-		pAp := dot(p, ap)
-		// Curvature guard: pᵀAp must be strictly positive for an SPD matrix.
-		// NaN also fails this comparison, so poisoned inputs are caught too.
-		if !(pAp > 0) {
-			return nil, iter, fmt.Errorf("mathx: CG: curvature pᵀAp = %g at iteration %d: %w", pAp, iter, ErrNotSPD)
-		}
-		alpha := rz / pAp
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		rr = dot(r, r)
-		rNorm = math.Sqrt(rr)
-		if rNorm <= tol*bNorm {
-			return x, iter, nil
-		}
-		var rzNew float64
-		if precond {
-			for i := range z {
-				z[i] = invDiag[i] * r[i]
-			}
-			rzNew = dot(r, z)
-		} else {
-			rzNew = rr
-		}
-		beta := rzNew / rz
-		dir := r
-		if precond {
-			dir = z
-		}
-		for i := range p {
-			p[i] = dir[i] + beta*p[i]
-		}
-		rz = rzNew
-	}
-	method := "CG"
-	if precond {
-		method = "PCG"
-	}
-	return x, maxIter, noConverge(method, maxIter, rNorm/bNorm)
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

@@ -5,23 +5,6 @@ import (
 	"math"
 )
 
-// Preconditioner supplies z ≈ M⁻¹·r for the preconditioned Krylov solvers.
-// Apply must be linear, symmetric positive definite as an operator, and
-// deterministic; r and z never alias. MeshMG is the package's production
-// implementation.
-type Preconditioner interface {
-	Apply(r, z []float64)
-}
-
-// fmgStarter is the optional hook SolveMGW probes for: a preconditioner
-// that can seed the Krylov iteration with a full-multigrid initial guess
-// instead of x = 0. FMGStart writes the guess into x (same
-// eliminated layout as Apply) and reports whether it did; false means the
-// solver starts from zero as before. MeshMG implements it.
-type fmgStarter interface {
-	FMGStart(b, x []float64) bool
-}
-
 // Chebyshev smoother parameters. The V-cycle smooths with a
 // degree-chebDegree Chebyshev polynomial in the Jacobi-preconditioned
 // operator D⁻¹L — stencil applications and axpy sweeps only, and the fewest
@@ -62,15 +45,13 @@ const (
 // polynomial (see the cheb* constants), transfers are
 // bilinear interpolation and its exact transpose, and the coarsest pinned
 // system is solved by a Cholesky factorization computed once per
-// MeshHierarchy. MeshMG also implements the full-multigrid start SolveMGW
-// seeds its iteration with (FMGStart; SetFMG disables it for ablation).
+// MeshHierarchy. MeshMG also computes the full-multigrid start SolveMGW
+// seeds its iteration with (FMGStart).
 // All level storage is preallocated: Apply performs no allocations, so a
 // reused MeshMG keeps the whole solve on the zero-alloc warm path.
 type MeshMG struct {
-	n      int
 	levels []*mgLevel
 	invG   float64
-	fmg    bool
 
 	chol   []float64 // shared read-only Cholesky factor (MeshHierarchy)
 	cb, cx []float64 // coarsest gather/scatter scratch, length nc²−1
@@ -81,7 +62,6 @@ type MeshMG struct {
 // Cholesky factor. It is safe for concurrent use, so every MeshMG of one
 // mesh size can share it and own only its mutable level vectors.
 type MeshHierarchy struct {
-	n      int
 	levels []mgShape
 	chol   []float64 // lower triangle, row-major m×m, m = nc²−1
 }
@@ -125,7 +105,7 @@ func NewMeshHierarchy(n, pin int) (*MeshHierarchy, error) {
 		return nil, fmt.Errorf("mathx: pinned node %d outside %d×%d grid", pin, n, n)
 	}
 	pr, pc := pin/n, pin%n
-	h := &MeshHierarchy{n: n}
+	h := &MeshHierarchy{}
 	for ln := n; ; {
 		lev := mgShape{n: ln, pin: pr*ln + pc, invDiag: make([]float64, ln*ln)}
 		for r := 0; r < ln; r++ {
@@ -184,7 +164,7 @@ func NewMeshHierarchy(n, pin int) (*MeshHierarchy, error) {
 // borrowed from h. Unit edge conductance; call SetConductance to match the
 // system before Apply.
 func NewMeshMG(h *MeshHierarchy) *MeshMG {
-	mg := &MeshMG{n: h.n, invG: 1, fmg: true, chol: h.chol}
+	mg := &MeshMG{invG: 1, chol: h.chol}
 	for _, shape := range h.levels {
 		sz := shape.n * shape.n
 		mg.levels = append(mg.levels, &mgLevel{
@@ -213,18 +193,6 @@ func (mg *MeshMG) SetConductance(g float64) error {
 	return nil
 }
 
-// SetFMG toggles the full-multigrid start SolveMGW seeds its iteration with
-// when this preconditioner is attached (on by default). Off exists for the
-// tests and benchmarks that isolate the start's contribution; production
-// solves keep it on.
-func (mg *MeshMG) SetFMG(on bool) { mg.fmg = on }
-
-// N returns the fine-grid dimension (nodes per side).
-func (mg *MeshMG) N() int { return mg.n }
-
-// Unknowns returns the eliminated-system size n²−1 Apply expects.
-func (mg *MeshMG) Unknowns() int { return mg.n*mg.n - 1 }
-
 // Apply runs one V-cycle: z ≈ A⁻¹·r for the pinned mesh system, both
 // vectors in the eliminated layout (length n²−1, the pinned node skipped).
 // Allocation-free and deterministic.
@@ -249,12 +217,8 @@ func (mg *MeshMG) Apply(r, z []float64) {
 // solved exactly, and the solution is interpolated upward with one V-cycle
 // of polishing per level. The result approximates A⁻¹b to roughly V-cycle
 // accuracy for about 4/3 of one fine V-cycle's work, so MG-PCG started here
-// saves several Krylov iterations against a zero guess. Reports false (and
-// writes nothing) when the start is disabled via SetFMG.
-func (mg *MeshMG) FMGStart(b, x []float64) bool {
-	if !mg.fmg {
-		return false
-	}
+// saves several Krylov iterations against a zero guess.
+func (mg *MeshMG) FMGStart(b, x []float64) {
 	f := mg.levels[0]
 	pin := f.pin
 	copy(f.b[:pin], b[:pin])
@@ -287,7 +251,6 @@ func (mg *MeshMG) FMGStart(b, x []float64) bool {
 	for j := pin; j < len(x); j++ {
 		x[j] = f.x[j+1] * invG
 	}
-	return true
 }
 
 // vcycle runs the cycle from level k downward, solving lev.b into lev.x.
@@ -659,64 +622,58 @@ func (mg *MeshMG) coarseSolve(lev *mgLevel) {
 	copy(lev.x[pin+1:], mg.cx[pin:])
 }
 
-// SolveMG solves A·x = b by stationary V-cycle iteration x += M⁻¹(b − A·x)
-// — multigrid standalone, no Krylov wrapper. A must be the pinned mesh
-// system the MeshMG was built for (same n, pin, and conductance declared
-// via SetConductance). Convergence semantics match the other solvers:
-// ‖b − A·x‖₂ ≤ tol·‖b‖₂, returning the iteration count.
-func (s *SparseMatrix) SolveMG(mg *MeshMG, b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	n := s.N
-	if len(b) != n {
-		return nil, 0, fmt.Errorf("mathx: rhs length %d, want %d", len(b), n)
-	}
-	if mg.Unknowns() != n {
-		return nil, 0, fmt.Errorf("mathx: multigrid built for %d unknowns, system has %d", mg.Unknowns(), n)
-	}
-	x := make([]float64, n)
-	r := make([]float64, n)
-	z := make([]float64, n)
-	copy(r, b)
-	bNorm := math.Sqrt(dot(b, b))
-	if bNorm == 0 {
-		return x, 0, nil
-	}
-	rNorm := bNorm
-	for iter := 1; iter <= maxIter; iter++ {
-		mg.Apply(r, z)
-		for i := range x {
-			x[i] += z[i]
-		}
-		s.MulVec(x, z)
-		rr := 0.0
-		for i := range r {
-			r[i] = b[i] - z[i]
-			rr += r[i] * r[i]
-		}
-		rNorm = math.Sqrt(rr)
-		if rNorm <= tol*bNorm {
-			return x, iter, nil
-		}
-	}
-	return x, maxIter, noConverge("MG", maxIter, rNorm/bNorm)
+// Workspace holds the Krylov vectors of SolveMGW so repeated solves of
+// same-sized systems allocate nothing. A zero Workspace is ready to use; it
+// grows on demand and is NOT safe for concurrent use — each goroutine needs
+// its own.
+//
+// The solution slice SolveMGW returns aliases the workspace and is only
+// valid until the next solve that reuses it.
+//
+// There is no separate preconditioned-residual vector: SolveMGW forms
+// z = M⁻¹·r only after r has consumed A·p, so z lives in ap's storage.
+type Workspace struct {
+	x, r, p, ap []float64
 }
 
-// Operator is a square linear operator y = A·x of dimension Dim, the
-// system SolveMGW iterates on. *SparseMatrix (assembled CSR) and
-// *MeshOperator (the matrix-free mesh stencil) implement it.
-type Operator interface {
-	Dim() int
-	MulVec(x, y []float64)
+// grow resizes the Krylov vectors to length n and zeroes x.
+func (w *Workspace) grow(n int) {
+	if cap(w.x) < n {
+		w.x = make([]float64, n)
+		w.r = make([]float64, n)
+		w.p = make([]float64, n)
+		w.ap = make([]float64, n)
+	}
+	w.x, w.r, w.p, w.ap = w.x[:n], w.r[:n], w.p[:n], w.ap[:n]
+	for i := range w.x {
+		w.x[i] = 0
+	}
 }
 
-// SolveMGW solves A·x = b by conjugate gradients preconditioned with pre
-// (typically a *MeshMG V-cycle), reusing ws for every vector including the
-// returned solution (same aliasing contract as SolvePCGW). When pre offers
-// a full-multigrid start (MeshMG does unless SetFMG disabled it), the
-// iteration begins from that interpolated guess instead of x = 0, which
+// SolveMGW solves A·x = b for the pinned mesh system a by conjugate
+// gradients preconditioned with one mg V-cycle per iteration (MG-PCG),
+// reusing ws for every vector including the returned solution. mg must be
+// built for a's grid and pin, with the same conductance declared. The
+// iteration begins from mg's full-multigrid start instead of x = 0, which
 // typically saves several Krylov iterations for ~4/3 of a V-cycle of extra
 // work. This is the production power-grid path: near-constant iteration
 // counts as the mesh refines, zero allocations on the warm path.
-func SolveMGW(a Operator, ws *Workspace, pre Preconditioner, b []float64, tol float64, maxIter int) ([]float64, int, error) {
+//
+// It returns (x, iters, err) where iters is the number of Krylov
+// iterations performed, and convergence means the recursively-updated
+// residual, which tracks the true one to round-off, satisfies
+// ‖b − A·x‖₂ ≤ tol·‖b‖₂. On iteration exhaustion the last iterate is
+// returned together with an error wrapping ErrNoConverge that records the
+// final relative residual; a failed positivity guard returns ErrNotSPD
+// and no solution.
+func SolveMGW(a *MeshOperator, ws *Workspace, mg *MeshMG, b []float64, tol float64, maxIter int) ([]float64, int, error) {
+	return solveMGW(a, ws, mg, b, tol, maxIter, true)
+}
+
+// solveMGW is SolveMGW with the full-multigrid start optional: fmg = false
+// starts from x = 0, which only the tests use, to measure what the start
+// saves.
+func solveMGW(a *MeshOperator, ws *Workspace, mg *MeshMG, b []float64, tol float64, maxIter int, fmg bool) ([]float64, int, error) {
 	n := a.Dim()
 	if len(b) != n {
 		return nil, 0, fmt.Errorf("mathx: rhs length %d, want %d", len(b), n)
@@ -729,16 +686,17 @@ func SolveMGW(a Operator, ws *Workspace, pre Preconditioner, b []float64, tol fl
 	if bNorm == 0 {
 		return x, 0, nil
 	}
-	if fs, ok := pre.(fmgStarter); ok && fs.FMGStart(b, x) {
+	if fmg {
 		// r = b − A·x₀ for the interpolated start. Convergence still tests
 		// against ‖b‖, so the tolerance is unchanged — the start only moves
 		// the iteration closer to it.
+		mg.FMGStart(b, x)
 		a.MulVec(x, ap)
 		for i := range r {
 			r[i] = b[i] - ap[i]
 		}
 	}
-	pre.Apply(r, z)
+	mg.Apply(r, z)
 	copy(p, z)
 	rz := dot(r, z)
 	if !(rz > 0) {
@@ -748,6 +706,7 @@ func SolveMGW(a Operator, ws *Workspace, pre Preconditioner, b []float64, tol fl
 	for iter := 1; iter <= maxIter; iter++ {
 		a.MulVec(p, ap)
 		pAp := dot(p, ap)
+		// NaN also fails these comparisons, so poisoned inputs are caught.
 		if !(pAp > 0) {
 			return nil, iter, fmt.Errorf("mathx: MG-PCG: curvature pᵀAp = %g at iteration %d: %w", pAp, iter, ErrNotSPD)
 		}
@@ -761,7 +720,7 @@ func SolveMGW(a Operator, ws *Workspace, pre Preconditioner, b []float64, tol fl
 		if rNorm <= tol*bNorm {
 			return x, iter, nil
 		}
-		pre.Apply(r, z)
+		mg.Apply(r, z)
 		rzNew := dot(r, z)
 		if !(rzNew > 0) {
 			return nil, iter, fmt.Errorf("mathx: MG-PCG: preconditioner not positive definite (rᵀz = %g): %w", rzNew, ErrNotSPD)
@@ -772,5 +731,14 @@ func SolveMGW(a Operator, ws *Workspace, pre Preconditioner, b []float64, tol fl
 		}
 		rz = rzNew
 	}
-	return x, maxIter, noConverge("MG-PCG", maxIter, rNorm/bNorm)
+	return x, maxIter, fmt.Errorf("mathx: MG-PCG: %w after %d iterations (relative residual %.3g)",
+		ErrNoConverge, maxIter, rNorm/bNorm)
+}
+
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
 }

@@ -1,18 +1,34 @@
 package mathx
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// buildMesh assembles the pinned-center n×n 5-point mesh system (reflective
-// boundaries, uniform edge conductance g) as a CSR matrix, with a
-// deterministic randomized RHS, and the matching MeshMG hierarchy.
-func buildMesh(t testing.TB, n int, g float64, seed int64) (*SparseMatrix, *MeshMG, []float64) {
+// testMesh is one pinned-center n×n 5-point mesh system (reflective
+// boundaries, uniform edge conductance g) in both forms — the reference
+// CSR assembly and the production stencil — with a deterministic
+// randomized RHS and the matching MeshMG.
+type testMesh struct {
+	csr *csrMatrix
+	op  *MeshOperator
+	mg  *MeshMG
+	b   []float64
+}
+
+func buildMesh(t testing.TB, n int, g float64, seed int64) testMesh {
 	t.Helper()
 	center := (n/2)*n + n/2
 	m, b := assembleMesh(n, center, g, seed)
+	op, err := NewMeshOperator(n, center)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.SetConductance(g); err != nil {
+		t.Fatal(err)
+	}
 	h, err := NewMeshHierarchy(n, center)
 	if err != nil {
 		t.Fatalf("NewMeshHierarchy(%d): %v", n, err)
@@ -21,14 +37,14 @@ func buildMesh(t testing.TB, n int, g float64, seed int64) (*SparseMatrix, *Mesh
 	if err := mg.SetConductance(g); err != nil {
 		t.Fatal(err)
 	}
-	return m, mg, b
+	return testMesh{csr: m, op: op, mg: mg, b: b}
 }
 
 // assembleMesh is the reference assembly of the n×n mesh pinned at pin:
 // per node, neighbours in up, down, left, right order, out-of-range ones
 // skipped, −g per in-range unpinned neighbour and the diagonal accumulated
 // by repeated += g. It is the oracle MeshOperator must match bit for bit.
-func assembleMesh(n, pin int, g float64, seed int64) (*SparseMatrix, []float64) {
+func assembleMesh(n, pin int, g float64, seed int64) (*csrMatrix, []float64) {
 	idx := make([]int, n*n)
 	cnt := 0
 	for i := range idx {
@@ -39,7 +55,7 @@ func assembleMesh(n, pin int, g float64, seed int64) (*SparseMatrix, []float64) 
 		idx[i] = cnt
 		cnt++
 	}
-	m := NewSparseMatrix(cnt)
+	m := newCSR(cnt)
 	rng := rand.New(rand.NewSource(seed))
 	b := make([]float64, cnt)
 	at := func(r, c int) int { return r*n + c }
@@ -64,7 +80,6 @@ func assembleMesh(n, pin int, g float64, seed int64) (*SparseMatrix, []float64) 
 			m.Add(row, row, deg)
 		}
 	}
-	m.Freeze()
 	return m, b
 }
 
@@ -84,22 +99,23 @@ func maxRelDiff(a, b []float64) float64 {
 	return worst / scale
 }
 
-// TestMGAgreesWithCGAndDense cross-checks the three solver families on
-// randomized SPD mesh systems: MG-PCG and standalone MG must agree with CG
-// to 1e-9 at every size, and with dense Gaussian elimination where the
-// dense solve is affordable.
+// TestMGAgreesWithCGAndDense cross-checks the solver families on
+// randomized SPD mesh systems: MG-PCG on the stencil and the stationary
+// V-cycle iteration must agree with the reference CG to 1e-9 at every
+// size, and with dense Gaussian elimination where the dense solve is
+// affordable.
 func TestMGAgreesWithCGAndDense(t *testing.T) {
 	for _, n := range []int{15, 31, 63, 127} {
 		if n == 127 && testing.Short() {
 			continue
 		}
-		m, mg, b := buildMesh(t, n, 0.7+float64(n)/100, int64(n))
-		xcg, _, err := m.SolveCG(b, 1e-12, 40*m.N)
+		m := buildMesh(t, n, 0.7+float64(n)/100, int64(n))
+		xcg, _, err := refCG(m.csr, m.b, 1e-12, 40*m.csr.n)
 		if err != nil {
 			t.Fatalf("n=%d: CG: %v", n, err)
 		}
 		var ws Workspace
-		xmg, _, err := SolveMGW(m, &ws, mg, b, 1e-12, 200)
+		xmg, _, err := SolveMGW(m.op, &ws, m.mg, m.b, 1e-12, 200)
 		if err != nil {
 			t.Fatalf("n=%d: MG-PCG: %v", n, err)
 		}
@@ -109,7 +125,7 @@ func TestMGAgreesWithCGAndDense(t *testing.T) {
 		// Stationary iteration bottoms out near 1e-12 relative residual in
 		// double precision; 1e-10 keeps it clear of that floor while still
 		// an order below the 1e-9 agreement threshold.
-		xsa, _, err := m.SolveMG(mg, b, 1e-10, 200)
+		xsa, _, err := stationaryMG(m.csr, m.mg, m.b, 1e-10, 200)
 		if err != nil {
 			t.Fatalf("n=%d: standalone MG: %v", n, err)
 		}
@@ -117,16 +133,7 @@ func TestMGAgreesWithCGAndDense(t *testing.T) {
 			t.Errorf("n=%d: standalone MG vs CG max relative diff %.3g > 1e-9", n, d)
 		}
 		if n <= 31 {
-			dense := make([][]float64, m.N)
-			for r := 0; r < m.N; r++ {
-				dense[r] = make([]float64, m.N)
-				dense[r][r] = m.diag[r]
-				cols, vals := m.row(r)
-				for i, c := range cols {
-					dense[r][c] = vals[i]
-				}
-			}
-			xd, err := SolveDense(dense, b)
+			xd, err := SolveDense(m.csr.dense(), m.b)
 			if err != nil {
 				t.Fatalf("n=%d: dense: %v", n, err)
 			}
@@ -148,8 +155,8 @@ func TestMGIterationCountsStayFlat(t *testing.T) {
 	var ws Workspace
 	prevCG := 0
 	for _, n := range sizes {
-		m, mg, b := buildMesh(t, n, 1.0, 42)
-		_, itMG, err := SolveMGW(m, &ws, mg, b, 1e-10, 200)
+		m := buildMesh(t, n, 1.0, 42)
+		_, itMG, err := SolveMGW(m.op, &ws, m.mg, m.b, 1e-10, 200)
 		if err != nil {
 			t.Fatalf("n=%d: MG-PCG: %v", n, err)
 		}
@@ -157,7 +164,7 @@ func TestMGIterationCountsStayFlat(t *testing.T) {
 			t.Errorf("n=%d: MG-PCG took %d iterations, want ≤ 25", n, itMG)
 		}
 		if n <= 127 {
-			_, itCG, err := m.SolveCGW(&ws, b, 1e-10, 40*m.N)
+			_, itCG, err := refCG(m.csr, m.b, 1e-10, 40*m.csr.n)
 			if err != nil {
 				t.Fatalf("n=%d: CG: %v", n, err)
 			}
@@ -172,49 +179,112 @@ func TestMGIterationCountsStayFlat(t *testing.T) {
 	}
 }
 
-// TestAddAfterFreezePanics pins the loud-failure contract: Add on a frozen
-// matrix must panic instead of silently corrupting the CSR arrays.
-func TestAddAfterFreezePanics(t *testing.T) {
-	m := NewSparseMatrix(4)
-	m.Add(0, 1, -1)
-	m.Add(1, 0, -1)
-	m.Add(0, 0, 2)
-	m.Add(1, 1, 2)
-	m.Freeze()
-	m.Freeze() // idempotent
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add after Freeze did not panic")
-		}
-	}()
-	m.Add(2, 3, -1)
+// TestSolveMGWStopsOnTrueResidual: a solve SolveMGW reports as converged
+// meets the tolerance in its true residual (the recursive residual it stops
+// on must not drift from the true one), and an exhausted iteration budget
+// returns ErrNoConverge with the last iterate.
+func TestSolveMGWStopsOnTrueResidual(t *testing.T) {
+	m := buildMesh(t, 31, 1.3, 9)
+	var ws Workspace
+	const tol = 1e-10
+	x, iters, err := SolveMGW(m.op, &ws, m.mg, m.b, tol, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iters <= 0 {
+		t.Fatalf("iteration count %d", iters)
+	}
+	if rel := m.csr.residualNorm(m.b, x) / math.Sqrt(dot(m.b, m.b)); rel > tol {
+		t.Fatalf("declared converged at true relative residual %g > tol %g", rel, tol)
+	}
+	x, iters, err = SolveMGW(m.op, &ws, m.mg, m.b, 1e-15, 1)
+	if !errors.Is(err, ErrNoConverge) {
+		t.Fatalf("one iteration at tol 1e-15: want ErrNoConverge, got %v", err)
+	}
+	if iters != 1 || x == nil {
+		t.Fatalf("exhaustion must report maxIter and the last iterate (%d, %v)", iters, x == nil)
+	}
 }
 
-// TestFrozenMulVecBitIdentical: Freeze must not change MulVec output by a
-// single bit (same per-row summation order), which is what lets the frozen
-// path substitute into the golden-pinned report.
-func TestFrozenMulVecBitIdentical(t *testing.T) {
-	n := 31
-	m, _, b := buildMesh(t, n, 1.3, 7)
-	// Rebuild an unfrozen copy with identical assembly.
-	m2, _, _ := buildMesh(t, n, 1.3, 7)
-	_ = m2
-	unfrozen := NewSparseMatrix(m.N)
-	for r := 0; r < m.N; r++ {
-		cols, vals := m.row(r)
-		for i, c := range cols {
-			unfrozen.Add(r, int(c), vals[i])
+// TestSolveMGWParameterValidation: a right-hand side whose length does not
+// match the operator is rejected before iterating, and the workspace stays
+// usable for a correct solve afterwards.
+func TestSolveMGWParameterValidation(t *testing.T) {
+	m := buildMesh(t, 15, 1, 10)
+	var ws Workspace
+	for _, b := range [][]float64{m.b[:len(m.b)-1], append(append([]float64(nil), m.b...), 1), nil} {
+		if _, _, err := SolveMGW(m.op, &ws, m.mg, b, 1e-10, 200); err == nil {
+			t.Fatalf("rhs of length %d accepted by a %d-node operator", len(b), len(m.b))
 		}
-		unfrozen.Add(r, r, m.diag[r])
 	}
-	y1 := make([]float64, m.N)
-	y2 := make([]float64, m.N)
-	m.MulVec(b, y1)
-	unfrozen.MulVec(b, y2)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("frozen MulVec differs at %d: %v vs %v", i, y1[i], y2[i])
+	if _, _, err := SolveMGW(m.op, &ws, m.mg, m.b, 1e-10, 200); err != nil {
+		t.Fatalf("solve after rejected calls: %v", err)
+	}
+}
+
+// TestNonSPDReturnsError: a NaN or Inf in the right-hand side poisons every
+// product it reaches; the positivity guards must turn that into ErrNotSPD
+// with no solution rather than divide through and return a NaN drop
+// vector.
+func TestNonSPDReturnsError(t *testing.T) {
+	m := buildMesh(t, 15, 1, 3)
+	var ws Workspace
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		b := append([]float64(nil), m.b...)
+		b[len(b)/3] = v
+		x, _, err := SolveMGW(m.op, &ws, m.mg, b, 1e-10, 200)
+		if !errors.Is(err, ErrNotSPD) {
+			t.Fatalf("rhs entry %g: want ErrNotSPD, got %v", v, err)
 		}
+		if x != nil {
+			t.Fatalf("rhs entry %g: a solution came back with the error", v)
+		}
+	}
+}
+
+// TestCGZeroRHS: a zero right-hand side solves instantly to zero, even
+// when the workspace holds a previous solution.
+func TestCGZeroRHS(t *testing.T) {
+	m := buildMesh(t, 15, 1, 4)
+	var ws Workspace
+	if _, _, err := SolveMGW(m.op, &ws, m.mg, m.b, 1e-10, 200); err != nil {
+		t.Fatal(err)
+	}
+	x, iters, err := SolveMGW(m.op, &ws, m.mg, make([]float64, len(m.b)), 1e-12, 100)
+	if err != nil || iters != 0 {
+		t.Fatalf("zero rhs should solve instantly: %v (%d iters)", err, iters)
+	}
+	for _, v := range x {
+		if v != 0 {
+			t.Fatalf("zero rhs must give zero solution")
+		}
+	}
+}
+
+// TestWorkspaceSolverReuse: repeated solves on one workspace stay correct
+// (no state leaks between solves, including across system sizes) and
+// allocate nothing once warm.
+func TestWorkspaceSolverReuse(t *testing.T) {
+	var ws Workspace
+	big, small := buildMesh(t, 31, 1.1, 5), buildMesh(t, 9, 0.4, 6)
+	for round := 0; round < 3; round++ {
+		for _, m := range []testMesh{big, small} {
+			x, _, err := SolveMGW(m.op, &ws, m.mg, m.b, 1e-12, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel := m.csr.residualNorm(m.b, x) / math.Sqrt(dot(m.b, m.b)); rel > 1e-10 {
+				t.Fatalf("round %d n²−1=%d: residual %g", round, m.csr.n, rel)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := SolveMGW(big.op, &ws, big.mg, big.b, 1e-12, 200); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("warm workspace solve allocates %.0f objects, want 0", allocs)
 	}
 }
 
@@ -261,7 +331,7 @@ func TestMeshOperatorMatchesCSR(t *testing.T) {
 				if err := a.SetConductance(g); err != nil {
 					t.Fatal(err)
 				}
-				want := make([]float64, m.N)
+				want := make([]float64, m.n)
 				got := make([]float64, a.Dim())
 				m.MulVec(x, want)
 				a.MulVec(x, got)

@@ -12,14 +12,14 @@ import (
 // which can limp through a weak preconditioner).
 func TestSmoothersAgreeWithCG(t *testing.T) {
 	for _, n := range []int{15, 31, 63} {
-		m, mg, b := buildMesh(t, n, 2.5, int64(100+n))
-		cnt := m.N
-		ref, _, err := m.SolveCG(b, 1e-12, 20*cnt)
+		m := buildMesh(t, n, 2.5, int64(100+n))
+		cnt := m.csr.n
+		ref, _, err := refCG(m.csr, m.b, 1e-12, 20*cnt)
 		if err != nil {
 			t.Fatalf("n=%d: CG: %v", n, err)
 		}
 		var ws Workspace
-		x, iters, err := SolveMGW(m, &ws, mg, b, 1e-11, 20*cnt)
+		x, iters, err := SolveMGW(m.op, &ws, m.mg, m.b, 1e-11, 20*cnt)
 		if err != nil {
 			t.Fatalf("n=%d: MG-PCG: %v", n, err)
 		}
@@ -28,7 +28,7 @@ func TestSmoothersAgreeWithCG(t *testing.T) {
 		}
 		assertClose(t, x, ref, 1e-9)
 		// Stationary tolerance stays off the double-precision floor.
-		xs, sIters, err := m.SolveMG(mg, b, 1e-9, 300)
+		xs, sIters, err := stationaryMG(m.csr, m.mg, m.b, 1e-9, 300)
 		if err != nil {
 			t.Fatalf("n=%d: stationary MG: %v", n, err)
 		}
@@ -60,7 +60,7 @@ func assertClose(t *testing.T, got, want []float64, tol float64) {
 // correction) fails this long before it visibly stalls MG-PCG.
 func TestVCycleIsSymmetric(t *testing.T) {
 	const n = 31
-	_, mg, _ := buildMesh(t, n, 1.75, 7)
+	mg := buildMesh(t, n, 1.75, 7).mg
 	cnt := n*n - 1
 	rng := rand.New(rand.NewSource(11))
 	u := make([]float64, cnt)
@@ -89,16 +89,15 @@ func TestVCycleIsSymmetric(t *testing.T) {
 // iterations from the interpolated guess than from zero.
 func TestFMGStartSavesIterations(t *testing.T) {
 	for _, n := range []int{63, 127} {
-		m, mg, b := buildMesh(t, n, 3.0, int64(200+n))
-		cnt := m.N
+		m := buildMesh(t, n, 3.0, int64(200+n))
+		cnt := m.csr.n
 		var ws, wsRef Workspace
-		x, withFMG, err := SolveMGW(m, &ws, mg, b, 1e-10, 20*cnt)
+		x, withFMG, err := SolveMGW(m.op, &ws, m.mg, m.b, 1e-10, 20*cnt)
 		if err != nil {
 			t.Fatalf("n=%d FMG: %v", n, err)
 		}
 		got := append([]float64(nil), x...)
-		mg.SetFMG(false)
-		ref, without, err := SolveMGW(m, &wsRef, mg, b, 1e-10, 20*cnt)
+		ref, without, err := solveMGW(m.op, &wsRef, m.mg, m.b, 1e-10, 20*cnt, false)
 		if err != nil {
 			t.Fatalf("n=%d no-FMG: %v", n, err)
 		}
@@ -116,13 +115,11 @@ func TestFMGStartSavesIterations(t *testing.T) {
 // the residual would reject a perfectly good start.)
 func TestFMGStartQuality(t *testing.T) {
 	const n = 63
-	m, mg, b := buildMesh(t, n, 1.0, 5)
-	x := make([]float64, m.N)
-	if !mg.FMGStart(b, x) {
-		t.Fatal("FMGStart reported disabled on a default MeshMG")
-	}
+	m := buildMesh(t, n, 1.0, 5)
+	x := make([]float64, m.csr.n)
+	m.mg.FMGStart(m.b, x)
 	var ws Workspace
-	ref, _, err := SolveMGW(m, &ws, mg, b, 1e-12, 20*m.N)
+	ref, _, err := SolveMGW(m.op, &ws, m.mg, m.b, 1e-12, 20*m.csr.n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +131,5 @@ func TestFMGStartQuality(t *testing.T) {
 	}
 	if rel := math.Sqrt(ee / xx); rel > 0.35 {
 		t.Errorf("FMG start is %.3g of the solution away from it — interpolated guess is not close", rel)
-	}
-	mg.SetFMG(false)
-	if mg.FMGStart(b, x) {
-		t.Error("FMGStart ignored SetFMG(false)")
 	}
 }

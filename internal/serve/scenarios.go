@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"nanometer/internal/repro"
@@ -102,18 +101,10 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			arts = append(arts, a)
 		}
 	}
-	meshN := 0
-	if v := q.Get("mesh-n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			apiError(w, http.StatusBadRequest, "mesh-n %q is not an integer", v)
-			return
-		}
-		if err := repro.ValidateMeshN(n); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		meshN = n
+	meshN, err := meshNParam(q)
+	if err != nil {
+		apiError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	body, err := readBody(w, r, scenario.MaxFileBytes)
 	if err != nil {

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -258,8 +259,7 @@ func apiError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // requestOptions parses and validates the query parameters shared by the
 // artifact and report endpoints: the compute options, the format, and the
-// text encoder's settings. mesh-n arrives from untrusted clients and goes
-// through the same ValidateMeshN the CLI flag uses.
+// text encoder's settings.
 func requestOptions(r *http.Request) (opts repro.Options, text render.Text, format string, err error) {
 	q := r.URL.Query()
 	format = q.Get("format")
@@ -269,15 +269,8 @@ func requestOptions(r *http.Request) (opts repro.Options, text render.Text, form
 	if err := render.CheckFormat(format); err != nil {
 		return opts, text, "", err
 	}
-	if v := q.Get("mesh-n"); v != "" {
-		n, perr := strconv.Atoi(v)
-		if perr != nil {
-			return opts, text, "", fmt.Errorf("mesh-n %q is not an integer", v)
-		}
-		if verr := repro.ValidateMeshN(n); verr != nil {
-			return opts, text, "", verr
-		}
-		opts.MeshN = n
+	if opts.MeshN, err = meshNParam(q); err != nil {
+		return opts, text, "", err
 	}
 	// Encode-only toggles of the text format (same semantics as the CLI's
 	// -v and -plot).
@@ -290,6 +283,25 @@ func requestOptions(r *http.Request) (opts repro.Options, text render.Text, form
 }
 
 func boolParam(v string) bool { return v == "1" || v == "true" }
+
+// meshNParam parses the optional mesh-n query parameter (0 when absent).
+// It arrives from untrusted clients and goes through the same
+// ValidateMeshN the CLI flag uses; every endpoint that takes it answers a
+// bad value with 400 and this error.
+func meshNParam(q url.Values) (int, error) {
+	v := q.Get("mesh-n")
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("mesh-n %q is not an integer", v)
+	}
+	if err := repro.ValidateMeshN(n); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
 
 // etagFor derives the strong ETag of one artifact representation: the
 // artifact ID, the compute-cache key (everything that can change the
@@ -539,20 +551,12 @@ func (s *Server) handleInternalResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.peerServes.Inc()
-	var opts repro.Options
-	if v := r.URL.Query().Get("mesh-n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			apiError(w, http.StatusBadRequest, "mesh-n %q is not an integer", v)
-			return
-		}
-		if err := repro.ValidateMeshN(n); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		opts.MeshN = n
+	meshN, err := meshNParam(r.URL.Query())
+	if err != nil {
+		apiError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	res, ok := s.produceResult(w, r, a, opts, false)
+	res, ok := s.produceResult(w, r, a, repro.Options{MeshN: meshN}, false)
 	if !ok {
 		return
 	}

@@ -34,7 +34,8 @@ func get(t *testing.T, h http.Handler, target string, hdr map[string]string) *ht
 }
 
 // TestHandlerStatuses is the table-driven boundary check: unknown artifact,
-// bad format, bad mesh-n, wrong method, misapplied encode flags.
+// bad format, bad mesh-n (status and exact body on all four endpoints that
+// take it), wrong method, misapplied encode flags.
 func TestHandlerStatuses(t *testing.T) {
 	h := New(Config{}).Handler()
 	for _, tc := range []struct {
@@ -67,6 +68,28 @@ func TestHandlerStatuses(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != tc.want {
 			t.Errorf("%s %s = %d, want %d (body: %s)", tc.method, tc.target, rec.Code, tc.want, rec.Body.String())
+		}
+	}
+	// Every endpoint that takes mesh-n answers the same bad value with the
+	// same 400 body.
+	bodies := map[string]string{
+		"abc":  `{"error":"mesh-n \"abc\" is not an integer"}` + "\n",
+		"-5":   `{"error":"repro: mesh-n -5 too small: an IR-drop mesh needs at least 5 nodes per side (0 selects the default)"}` + "\n",
+		"4096": `{"error":"repro: mesh-n 4096 too large: capped at 1023 nodes per side (1023² unknowns) to bound solver memory"}` + "\n",
+	}
+	for _, ep := range []struct{ method, path, body string }{
+		{"GET", "/api/v1/artifacts/t2", ""},
+		{"GET", "/api/v1/report", ""},
+		{"POST", "/api/v1/scenarios", `{"name":"x"}`},
+		{"GET", "/api/v1/internal/result/t2", ""},
+	} {
+		for v, want := range bodies {
+			req := httptest.NewRequest(ep.method, ep.path+"?mesh-n="+v, strings.NewReader(ep.body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != 400 || rec.Body.String() != want {
+				t.Errorf("%s %s?mesh-n=%s = %d %q, want 400 %q", ep.method, ep.path, v, rec.Code, rec.Body.String(), want)
+			}
 		}
 	}
 }
